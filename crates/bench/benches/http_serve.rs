@@ -3,7 +3,8 @@
 //!
 //! Mirrors `serve_load.rs`, one layer out: before any timing, a full mixed
 //! workload (clients ≥ 4, refreshes mid-run, TTL probe tenant) is replayed
-//! through `opaq_net::run_http_workload`, which re-renders every response
+//! through `opaq_net::run_fleet_workload` in its 1×1 shape (one loopback
+//! server), which re-renders every response
 //! from the registered sketch of its claimed `x-opaq-version` and compares
 //! **byte-for-byte** — a torn read, an HTTP error, or a missing TTL
 //! expiry→refresh cycle fails `cargo bench` before a single timing.  An
@@ -18,18 +19,18 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use opaq_metrics::SloThresholds;
-use opaq_net::{run_http_workload, HttpWorkloadSpec};
+use opaq_net::{run_fleet_workload, FleetWorkloadSpec};
 use std::time::Duration;
 
 fn quick_mode() -> bool {
     std::env::var_os("OPAQ_BENCH_QUICK").is_some()
 }
 
-fn spec(clients: usize, ttl: Option<Duration>) -> HttpWorkloadSpec {
+fn spec(clients: usize, ttl: Option<Duration>) -> FleetWorkloadSpec {
     let mut spec = if quick_mode() {
-        HttpWorkloadSpec::quick()
+        FleetWorkloadSpec::quick()
     } else {
-        HttpWorkloadSpec::default()
+        FleetWorkloadSpec::default()
     };
     spec.spec.tenants = spec.spec.tenants.max(2);
     spec.spec.clients = clients;
@@ -37,8 +38,8 @@ fn spec(clients: usize, ttl: Option<Duration>) -> HttpWorkloadSpec {
     spec
 }
 
-fn replay_and_verify(label: &str, spec: &HttpWorkloadSpec) -> u64 {
-    let report = run_http_workload(spec).expect("http workload must run cleanly");
+fn replay_and_verify(label: &str, spec: &FleetWorkloadSpec) -> u64 {
+    let report = run_fleet_workload(spec).expect("http workload must run cleanly");
     println!(
         "== http_serve workload: {label} ({} tenants, {} clients, {} refreshes) ==",
         spec.spec.tenants, spec.spec.clients, report.refreshes_published
@@ -49,6 +50,11 @@ fn replay_and_verify(label: &str, spec: &HttpWorkloadSpec) -> u64 {
         "{label}: torn read — a wire response matched no published sketch version byte-for-byte"
     );
     assert_eq!(report.http_errors, 0, "{label}: HTTP error status observed");
+    assert_eq!(
+        (report.degraded, report.unanswered),
+        (0, 0),
+        "{label}: a request was dropped by the lone server"
+    );
     assert_eq!(report.verified, report.ops);
     assert_eq!(
         report.plan_verified, report.plan_ops,
@@ -85,17 +91,17 @@ fn bench_http_serve(c: &mut Criterion) {
     {
         let mut open = spec(4, None);
         open.spec.refresh_rounds = 1;
-        open.target_qps = Some(if quick_mode() { 2_000.0 } else { 5_000.0 });
+        open.spec.target_qps = Some(if quick_mode() { 2_000.0 } else { 5_000.0 });
         open.slo = SloThresholds {
             p99: Some(Duration::from_secs(5)),
             max_error_rate: Some(0.0),
             max_shed_rate: Some(0.0),
             ..Default::default()
         };
-        let report = run_http_workload(&open).expect("open-loop workload must run cleanly");
+        let report = run_fleet_workload(&open).expect("open-loop workload must run cleanly");
         println!(
             "== http_serve workload: open loop @ {:.0} qps ==",
-            open.target_qps.unwrap()
+            open.spec.target_qps.unwrap()
         );
         println!("{}", report.render());
         assert_eq!(report.torn_reads, 0, "open loop: torn read over the wire");
@@ -114,7 +120,7 @@ fn bench_http_serve(c: &mut Criterion) {
     for clients in [4usize, 8] {
         let spec = spec(clients, None);
         group.bench_with_input(BenchmarkId::new("clients", clients), &spec, |b, spec| {
-            b.iter(|| black_box(run_http_workload(spec).unwrap().ops))
+            b.iter(|| black_box(run_fleet_workload(spec).unwrap().ops))
         });
     }
     group.finish();

@@ -1,7 +1,8 @@
 //! Shared harness code for the experiment binaries.
 //!
 //! Every table and figure of the paper's evaluation has a dedicated binary in
-//! `src/bin/` (see DESIGN.md §4 for the index).  The binaries share the
+//! `src/bin/` (`table3` … `table12`, `figure3` … `figure6`, plus the
+//! `ablation_*` binaries).  The binaries share the
 //! workload construction, error-rate computation and output formatting that
 //! lives here.
 //!
@@ -14,8 +15,7 @@
 //! controllable with the `OPAQ_SCALE` environment variable (use
 //! `OPAQ_SCALE=1.0` to reproduce the paper's exact sizes).  Error-rate
 //! results are unaffected by the scale because both the sample size `s` and
-//! the error metrics are relative quantities; EXPERIMENTS.md records runs at
-//! full scale.
+//! the error metrics are relative quantities.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -8,12 +8,11 @@ use crate::{persist, CliError, CliResult};
 use opaq_core::{exact_quantile, IncrementalOpaq, OpaqConfig, OpaqEstimator};
 use opaq_datagen::{DatasetSpec, Distribution};
 use opaq_metrics::trace::{format_nanos, Stage};
-use opaq_metrics::{SloThresholds, TextTable};
+use opaq_metrics::{LatencySnapshot, SloOutcome, SloThresholds, TextTable};
 use opaq_net::json::write_escaped;
 use opaq_net::{
-    bootstrap, ChaosConfig, HashRing, HttpClient, HttpServer, HttpWorkloadSpec, Json,
-    ReplicaWorkloadSpec, ReplicationStats, Replicator, RingConfig, RingMembership,
-    RoutedWorkloadSpec, ServerConfig, Telemetry,
+    bootstrap, ChaosConfig, FleetWorkloadSpec, HashRing, HttpClient, HttpServer, Json,
+    ReplicationStats, Replicator, RingConfig, RingMembership, ServerConfig, Telemetry,
 };
 use opaq_parallel::ShardedOpaq;
 use opaq_query::QueryPlan;
@@ -59,46 +58,43 @@ COMMANDS:
              [--strategy ...]
              exact quantile with one estimation pass plus one refinement pass
   serve-bench [--tenants M] [--clients N] [--ops K] [--keys-per-tenant D]
-             [--run-length M] [--sample-size S] [--refreshes R] [--budget B]
-             [--seed S] [--ttl-ms T] [--quick] [--http] [--qps Q]
-             [--slo-p99-ms M] [--bench-out FILE] [--replicas N] [--chaos]
-             [--groups G] [--vnodes V]
+             [--run-length M] [--sample-size S] [--refreshes R] [--seed S]
+             [--quick] [--qps Q] [--slo-p99-ms M] [--bench-out FILE]
+             [--budget B] | [--http [--groups G] [--replicas R] [--chaos]
+             [--vnodes V] [--ttl-ms T]]
              replay a mixed read/refresh workload against the multi-tenant
              serving catalog: N client threads issue K typed queries each
              across M tenants while refreshes publish new sketch versions
-             live; prints per-tenant p50/p90/p99/p999 latencies, throughput
-             and the torn-read count (non-zero fails the command).
-             --budget B caps resident sample points to force spill/reload;
-             --quick shrinks everything for smoke runs.
-             --http runs the same mix over real TCP through `opaq-net`: a
-             loopback HTTP server is stood up, every response is verified
-             byte-for-byte against its claimed sketch version, and a
-             TTL probe tenant (--ttl-ms, default 150) must be observed
-             serving stale-then-refreshed answers.
+             live; prints p50/p90/p99/p999 latencies, throughput and the
+             torn-read count (non-zero fails the command).  --quick shrinks
+             everything for smoke runs.
+             Without --http the workload runs in-process; --budget B caps
+             resident sample points there to force spill/reload.
+             --http runs the same mix over real TCP through `opaq-net`, on a
+             fleet of G ring groups x R replicas (default 1 x 1: one
+             loopback server).  Each group is a primary plus R-1 secondaries
+             bootstrapped from it and kept in sync over the wire; clients
+             route by consistent-hash ring ownership (--vnodes V points per
+             group, default 128) with circuit-breaker failover inside each
+             group.  Every response is verified byte-for-byte against its
+             claimed sketch version and ownership-checked against
+             x-opaq-owner; every 5th op is a glob coalesce plan that must
+             match the unpartitioned-catalog oracle byte-for-byte, and
+             every 7th is sent to a wrong group on purpose to exercise the
+             typed wrong_owner -> one-hop re-route (with G >= 2).  A TTL
+             probe tenant (--ttl-ms, default 150; 0 turns it off) must be
+             observed serving stale-then-refreshed answers.  --chaos
+             (needs --replicas 2 or more) fronts every replica with a
+             fault-injecting proxy and kills + restarts one secondary
+             mid-run.  Any torn, mis-owned or trace-violating answer fails
+             the command.
              --qps Q holds an aggregate *open-loop* offered rate instead of
              closed-loop as-fast-as-possible, with latency measured from
              each op's scheduled send time (coordinated-omission-safe).
              --slo-p99-ms M declares the objectives 'p99 <= M ms, zero
              errors, zero sheds'; any breach makes the command exit
              nonzero.  --bench-out FILE writes the machine-readable report
-             (BENCH_serve.json format).
-             --replicas N (with --http) stands up an N-replica fleet — one
-             primary plus N-1 peer-bootstrapped secondaries kept in sync
-             over the wire — and drives circuit-breaker failover clients
-             across it.  --chaos additionally fronts every replica with a
-             fault-injecting proxy and kills + restarts one replica
-             mid-run; any torn or mis-versioned answer fails the command.
-             --groups G (with --http, G >= 2) partitions the fleet: a
-             consistent-hash ring (--vnodes V points per group, default
-             128) splits the tenants across G replica groups of --replicas
-             M each, clients route by ring ownership, every 7th op is
-             deliberately misrouted to exercise the typed wrong_owner →
-             one-hop re-route arc, and glob coalesce plans scatter across
-             the groups and must match the unpartitioned-catalog oracle
-             byte-for-byte; the summary reports per-group tenant/op
-             balance.  Routed mode composes with --chaos, --qps and
-             --slo-p99-ms; any torn, mis-owned or trace-violating answer
-             fails the command
+             (BENCH_serve.json format), whose command field reruns it
   serve      --addr HOST:PORT [--tenants M] [--keys-per-tenant D]
              [--run-length M] [--sample-size S] [--ttl-ms T]
              [--refresh-threads R] [--workers W] [--seed S]
@@ -616,12 +612,18 @@ pub fn exact(args: &Args) -> CliResult<String> {
     ))
 }
 
-/// `opaq serve-bench`: drive the multi-tenant serving layer under load.
-///
-/// Every response is verified byte-for-byte against the published sketch
-/// version it claims to have been served from, so the command doubles as a
-/// consistency check: any torn read makes it fail.
-pub fn serve_bench(args: &Args) -> CliResult<String> {
+/// `serve-bench`'s run, parsed once from its flags.  The in-process run
+/// (no `--http`) reads `fleet.spec` and `fleet.slo`; `--http` runs the whole
+/// `groups × replicas` fleet spec.
+#[derive(Debug)]
+struct BenchRun {
+    http: bool,
+    fleet: FleetWorkloadSpec,
+}
+
+/// Parse and validate `serve-bench`'s flags.  Every rejected combination is
+/// a typed [`CliError::Usage`]; nothing is silently rewritten.
+fn bench_run(args: &Args) -> CliResult<BenchRun> {
     args.validate(
         "serve-bench",
         &[
@@ -649,14 +651,32 @@ pub fn serve_bench(args: &Args) -> CliResult<String> {
     } else {
         WorkloadSpec::default()
     };
+    let http = args.flag("http");
+    let usage = |msg: String| Err(CliError::Usage(msg));
     let budget = args.u64_or("budget", 0)?;
+    if http && budget > 0 {
+        return usage(
+            "--budget (spill/reload churn) is not supported in --http mode; the eviction \
+             workload runs in-process — drop --http or --budget"
+                .to_string(),
+        );
+    }
+    if !http {
+        let fleet_keys = ["groups", "replicas", "vnodes", "ttl-ms"];
+        if let Some(key) = fleet_keys.iter().find(|key| args.get(key).is_some()) {
+            return usage(format!(
+                "--{key} shapes a fleet over real sockets — add --http"
+            ));
+        }
+        if args.flag("chaos") {
+            return usage("--chaos drives a fleet over real sockets — add --http".to_string());
+        }
+    }
     let target_qps = match args.get("qps") {
         Some(_) => {
             let qps = args.f64_or("qps", 0.0)?;
             if !qps.is_finite() || qps <= 0.0 {
-                return Err(CliError::Usage(
-                    "--qps must be a positive offered rate".to_string(),
-                ));
+                return usage("--qps must be a positive offered rate".to_string());
             }
             Some(qps)
         }
@@ -686,57 +706,136 @@ pub fn serve_bench(args: &Args) -> CliResult<String> {
         seed: args.u64_or("seed", base.seed)?,
         target_qps,
     };
-    let groups = args.u64_or("groups", 1)? as usize;
-    if groups > 1 {
-        // Routed-fleet mode: a consistent-hash ring partitions the tenants
-        // across `groups` replica groups; clients route by ring ownership.
-        if !args.flag("http") {
-            return Err(CliError::Usage(
-                "--groups partitions a fleet over real sockets — add --http".to_string(),
-            ));
-        }
-        if budget > 0 {
-            return Err(CliError::Usage(
-                "--budget (spill/reload churn) is not supported in routed-fleet mode".to_string(),
-            ));
-        }
-        return serve_bench_routed(args, spec, groups, slo);
+    let defaults = FleetWorkloadSpec::default();
+    let groups = args.u64_or("groups", defaults.groups as u64)? as usize;
+    let replicas = args.u64_or("replicas", defaults.replicas as u64)? as usize;
+    if groups == 0 || replicas == 0 {
+        return usage("--groups and --replicas must each be at least 1".to_string());
     }
-    if args.get("vnodes").is_some() {
-        return Err(CliError::Usage(
-            "--vnodes only makes sense with --groups N (N >= 2)".to_string(),
+    let vnodes = u32::try_from(args.u64_or("vnodes", u64::from(defaults.vnodes))?)
+        .map_err(|_| CliError::Usage("--vnodes out of range".to_string()))?;
+    if vnodes == 0 {
+        return usage("--vnodes must be at least 1".to_string());
+    }
+    let chaos = args.flag("chaos");
+    if chaos && replicas < 2 {
+        return usage(format!(
+            "--chaos kills and restarts a secondary replica, so it needs --replicas 2 or \
+             more (got {replicas})"
         ));
     }
-    let replicas = args.u64_or("replicas", 1)? as usize;
-    if replicas > 1 || args.flag("chaos") {
-        if !args.flag("http") {
-            return Err(CliError::Usage(
-                "--replicas/--chaos drive a fleet over real sockets — add --http".to_string(),
-            ));
-        }
-        if budget > 0 || target_qps.is_some() || args.get("slo-p99-ms").is_some() {
-            return Err(CliError::Usage(
-                "--budget/--qps/--slo-p99-ms are not supported in replica-fleet mode; the \
-                 fleet run is closed-loop and gated on consistency, not latency"
-                    .to_string(),
-            ));
-        }
-        return serve_bench_replicas(args, spec, replicas.max(2));
+    let default_ttl_ms = defaults.ttl.map_or(0, |ttl| ttl.as_millis() as u64);
+    let ttl_ms = args.u64_or("ttl-ms", default_ttl_ms)?;
+    Ok(BenchRun {
+        http,
+        fleet: FleetWorkloadSpec {
+            spec,
+            groups,
+            replicas,
+            vnodes,
+            chaos: chaos.then(ChaosConfig::default),
+            ttl: (ttl_ms > 0).then(|| Duration::from_millis(ttl_ms)),
+            slo,
+        },
+    })
+}
+
+/// The `opaq serve-bench` command line that reproduces `run`: every value
+/// explicit, so neither `--quick` nor a changed default can alter it.
+fn bench_command(run: &BenchRun) -> String {
+    let (fleet, spec) = (&run.fleet, &run.fleet.spec);
+    let mut command = String::from("opaq serve-bench");
+    if run.http {
+        command.push_str(&format!(
+            " --http --groups {} --replicas {} --vnodes {}{} --ttl-ms {}",
+            fleet.groups,
+            fleet.replicas,
+            fleet.vnodes,
+            if fleet.chaos.is_some() {
+                " --chaos"
+            } else {
+                ""
+            },
+            fleet.ttl.map_or(0, |ttl| ttl.as_millis()),
+        ));
     }
-    if args.flag("http") {
-        if budget > 0 {
-            return Err(CliError::Usage(
-                "--budget (spill/reload churn) is not supported in --http mode; the eviction \
-                 workload runs in-process — drop --http or --budget"
-                    .to_string(),
-            ));
-        }
-        return serve_bench_http(args, spec, slo);
+    command.push_str(&format!(
+        " --tenants {} --clients {} --ops {} --keys-per-tenant {} --run-length {} \
+         --sample-size {} --refreshes {} --seed {}",
+        spec.tenants,
+        spec.clients,
+        spec.ops_per_client,
+        spec.keys_per_tenant,
+        spec.run_length,
+        spec.sample_size,
+        spec.refresh_rounds,
+        spec.seed,
+    ));
+    if let Some(budget) = spec.budget_sample_points {
+        command.push_str(&format!(" --budget {budget}"));
     }
-    let report = opaq_serve::run_workload(&spec)?;
+    if let Some(qps) = spec.target_qps {
+        command.push_str(&format!(" --qps {qps}"));
+    }
+    if let Some(p99) = fleet.slo.p99 {
+        command.push_str(&format!(" --slo-p99-ms {}", p99.as_millis()));
+    }
+    command
+}
+
+/// `opaq serve-bench`: drive the multi-tenant serving layer under load.
+///
+/// Every response is verified byte-for-byte against the published sketch
+/// version it claims to have been served from, so the command doubles as a
+/// consistency check: any torn read makes it fail.  Without `--http` the
+/// workload runs in-process (the only harness with eviction churn); with it,
+/// over a `groups × replicas` fleet of real servers.
+pub fn serve_bench(args: &Args) -> CliResult<String> {
+    let run = bench_run(args)?;
+    let (mut out, results, outcome, mut failures) = if run.http {
+        serve_bench_fleet(&run.fleet)?
+    } else {
+        serve_bench_in_process(&run.fleet.spec, &run.fleet.slo)?
+    };
+    failures.push((
+        outcome.is_breached(),
+        format!(
+            "{} of {} declared SLO objectives breached",
+            outcome.breaches(),
+            outcome.checks.len()
+        ),
+    ));
+    let failure = failures
+        .into_iter()
+        .find_map(|(failed, why)| failed.then_some(why));
+    if let Some(path) = args.get("bench-out") {
+        let json = render_bench_serve_json(&run, &results, &outcome, failure.is_none());
+        std::fs::write(path, json)
+            .map_err(|e| CliError::Usage(format!("could not write {path}: {e}")))?;
+        out.push_str(&format!("bench report written to {path}\n"));
+    }
+    match failure {
+        Some(why) => Err(CliError::Usage(format!("{why}\n{out}"))),
+        None => Ok(out),
+    }
+}
+
+/// A run's printed output, its bench-report results, its SLO verdicts, and
+/// its gates as `(failed, why)` pairs.
+type BenchOutcome = (
+    String,
+    Vec<(&'static str, String)>,
+    SloOutcome,
+    Vec<(bool, String)>,
+);
+
+/// The workload in-process: client threads straight against the catalog,
+/// with optional `--budget` spill/reload churn.
+fn serve_bench_in_process(spec: &WorkloadSpec, slo: &SloThresholds) -> CliResult<BenchOutcome> {
+    let report = opaq_serve::run_workload(spec)?;
     let mut out = format!(
-        "served {} requests from {} clients over {} tenants in {:?} ({:.0} ops/s); {} refreshes \
-         published mid-workload, {} responses verified, {} torn reads\n",
+        "served {} requests from {} clients over {} tenants in {:?} ({:.0} ops/s); {} \
+         refreshes published mid-workload, {} responses verified, {} torn reads\n",
         report.ops,
         spec.clients,
         spec.tenants,
@@ -747,115 +846,274 @@ pub fn serve_bench(args: &Args) -> CliResult<String> {
         report.torn_reads,
     );
     out.push_str(&report.render());
-    // In-process ops can't error or shed; the SLO verdicts are latency-only
-    // plus the structural torn-read gate below.
+    // In-process ops can't error or shed; the SLO verdicts are
+    // latency-only plus the structural torn-read gate.
     let outcome = slo.evaluate(&report.client_latency, 0.0, 0.0);
     out.push_str(&outcome.render("slo verdicts"));
-    if let Some(path) = args.get("bench-out") {
-        let json = render_bench_serve_json(
-            "opaq serve-bench (in-process, open-loop)",
-            &spec,
-            target_qps,
-            &report.client_latency,
-            report.wall,
-            report.ops,
-            report.verified,
-            report.torn_reads,
-            0.0,
-            0.0,
-            &slo,
-            &outcome,
-        );
-        std::fs::write(path, json)
-            .map_err(|e| CliError::Usage(format!("could not write {path}: {e}")))?;
-        out.push_str(&format!("bench report written to {path}\n"));
-    }
-    if report.torn_reads > 0 {
-        return Err(CliError::Usage(format!(
-            "{} torn reads observed — served estimates diverged from every published sketch \
-             version\n{out}",
+    let mut results = vec![
+        ("ops", report.ops.to_string()),
+        ("verified", report.verified.to_string()),
+        ("torn_reads", report.torn_reads.to_string()),
+    ];
+    results.extend(timing_results(
+        &report.client_latency,
+        report.wall,
+        report.throughput(),
+        0.0,
+        0.0,
+    ));
+    let failures = vec![(
+        report.torn_reads > 0,
+        format!(
+            "{} torn reads observed — served estimates diverged from every published \
+             sketch version",
             report.torn_reads
-        )));
-    }
-    if outcome.is_breached() {
-        return Err(CliError::Usage(format!(
-            "{} of {} declared SLO objectives breached\n{out}",
-            outcome.breaches(),
-            outcome.checks.len()
-        )));
-    }
-    Ok(out)
+        ),
+    )];
+    Ok((out, results, outcome, failures))
+}
+
+/// `opaq serve-bench --http [--groups G] [--replicas R] [--chaos]`: the
+/// workload over a `groups × replicas` fleet of real servers.  1×1 is one
+/// loopback server; R ≥ 2 adds peer-synced secondaries behind failover
+/// clients; G ≥ 2 partitions the tenants on a consistent-hash ring.
+fn serve_bench_fleet(fleet: &FleetWorkloadSpec) -> CliResult<BenchOutcome> {
+    let report = opaq_net::run_fleet_workload(fleet)
+        .map_err(|e| CliError::Usage(format!("fleet workload failed: {e}")))?;
+    let mut out = format!(
+        "served {} HTTP requests across {} groups x {} replicas over {} tenants in {:?} \
+         ({:.0} ops/s); {} refreshes published mid-workload, {} responses verified \
+         byte-for-byte, {} /v1/query plans replayed offline and verified (of {}), {} torn \
+         reads, {} mis-owned, {} http errors, {} sheds; ttl probe: {} non-fresh responses, \
+         {} expiry-refresh cycles observed\n",
+        report.ops + report.plan_ops,
+        report.groups,
+        report.replicas,
+        fleet.spec.tenants,
+        report.wall,
+        report.throughput(),
+        report.refreshes_published,
+        report.verified,
+        report.plan_verified,
+        report.plan_ops,
+        report.torn_reads,
+        report.mis_owned,
+        report.http_errors,
+        report.sheds,
+        report.non_fresh_served,
+        report.ttl_refreshes_observed,
+    );
+    out.push_str(&report.render());
+    let mut results: Vec<(&'static str, String)> = [
+        ("ops", report.ops),
+        ("verified", report.verified),
+        ("torn_reads", report.torn_reads),
+        ("mis_owned", report.mis_owned),
+        ("plan_ops", report.plan_ops),
+        ("plan_verified", report.plan_verified),
+        ("plan_unanswered", report.plan_unanswered),
+        ("http_errors", report.http_errors),
+        ("sheds", report.sheds),
+        ("degraded", report.degraded),
+        ("unanswered", report.unanswered),
+        ("reroutes", report.reroutes),
+        ("failovers", report.failovers),
+        ("breaker_opens", report.breaker_opens),
+        ("kills", report.kills),
+        ("restarts", report.restarts),
+        ("ttl_refreshes_observed", report.ttl_refreshes_observed),
+        ("trace_violations", report.trace_violations),
+    ]
+    .into_iter()
+    .map(|(name, value)| (name, value.to_string()))
+    .collect();
+    results.extend(timing_results(
+        &report.latency,
+        report.wall,
+        report.throughput(),
+        report.error_rate(),
+        report.shed_rate(),
+    ));
+    let balance: Vec<String> = report
+        .shares
+        .iter()
+        .map(|s| {
+            format!(
+                "{{ \"group\": \"{}\", \"tenants\": {}, \"ops\": {} }}",
+                s.group, s.tenants, s.ops
+            )
+        })
+        .collect();
+    results.push(("group_balance", format!("[{}]", balance.join(", "))));
+
+    let chaos = fleet.chaos.is_some();
+    let failures = vec![
+        (
+            report.torn_reads > 0 || report.mis_owned > 0,
+            format!(
+                "{} torn / {} mis-owned answers — a response's bytes or its x-opaq-owner \
+                 header diverged from the truth",
+                report.torn_reads, report.mis_owned
+            ),
+        ),
+        // A partitioned chaos run may see a handful of error statuses from
+        // faults mid-scatter; every other run must see none.
+        (
+            report.http_errors > 0 && !(chaos && fleet.groups > 1),
+            format!("{} http errors observed over the wire", report.http_errors),
+        ),
+        // Without injected faults every request must be answered by a live
+        // replica: a degraded replay or an unanswered op means the fleet
+        // dropped traffic.
+        (
+            !chaos && (report.degraded > 0 || report.unanswered > 0),
+            format!(
+                "{} degraded replays / {} unanswered ops in a run without injected faults — \
+                 the fleet dropped requests",
+                report.degraded, report.unanswered
+            ),
+        ),
+        (
+            report.trace_violations > 0,
+            format!(
+                "{} responses missed (or mis-echoed) x-opaq-trace-id — every response must \
+                 carry the trace header",
+                report.trace_violations
+            ),
+        ),
+        // Under chaos a plan POST may die in flight (single attempt, never
+        // replayed); torn plan answers are caught by the torn gate.
+        (
+            !chaos && report.plan_verified < report.plan_ops,
+            format!(
+                "{} of {} /v1/query plans failed their offline byte replay",
+                report.plan_ops - report.plan_verified,
+                report.plan_ops
+            ),
+        ),
+        (
+            chaos && (report.kills == 0 || report.restarts < report.kills),
+            format!(
+                "chaos run never exercised the kill/restart cycle ({} kills, {} restarts)",
+                report.kills, report.restarts
+            ),
+        ),
+        (
+            fleet.ttl.is_some() && report.ttl_refreshes_observed == 0,
+            "no TTL expiry-refresh cycle observed — staleness plumbing is broken".to_string(),
+        ),
+    ];
+    let outcome = report.slo.clone();
+    Ok((out, results, outcome, failures))
+}
+
+/// The timing half of a bench report's results.
+fn timing_results(
+    latency: &LatencySnapshot,
+    wall: Duration,
+    throughput: f64,
+    error_rate: f64,
+    shed_rate: f64,
+) -> Vec<(&'static str, String)> {
+    let ms = |d: Duration| format!("{:.3}", d.as_secs_f64() * 1_000.0);
+    vec![
+        ("wall_ms", ms(wall)),
+        ("throughput_ops_s", format!("{throughput:.1}")),
+        ("p50_ms", ms(latency.p50)),
+        ("p99_ms", ms(latency.p99)),
+        ("p999_ms", ms(latency.p999)),
+        ("max_ms", ms(latency.max)),
+        ("error_rate", format!("{error_rate:.6}")),
+        ("shed_rate", format!("{shed_rate:.6}")),
+    ]
 }
 
 /// Render the machine-readable bench report (the `BENCH_serve.json` format:
 /// same sections as `BENCH_select.json` — benchmark/command/recorded/host/
 /// input/results/acceptance — hand-rolled like everything else JSON here).
-#[allow(clippy::too_many_arguments)]
 fn render_bench_serve_json(
-    benchmark: &str,
-    spec: &WorkloadSpec,
-    target_qps: Option<f64>,
-    latency: &opaq_metrics::LatencySnapshot,
-    wall: Duration,
-    ops: u64,
-    verified: u64,
-    torn_reads: u64,
-    error_rate: f64,
-    shed_rate: f64,
-    slo: &SloThresholds,
-    outcome: &opaq_metrics::SloOutcome,
+    run: &BenchRun,
+    results: &[(&str, String)],
+    outcome: &SloOutcome,
+    met: bool,
 ) -> String {
-    let ms = |d: Duration| d.as_secs_f64() * 1_000.0;
+    let (fleet, spec) = (&run.fleet, &run.fleet.spec);
+    let quoted = |text: &str| {
+        let mut out = String::new();
+        write_escaped(&mut out, text);
+        out
+    };
+    let benchmark = if run.http {
+        format!(
+            "opaq serve-bench --http ({} groups x {} replicas over TCP)",
+            fleet.groups, fleet.replicas
+        )
+    } else {
+        "opaq serve-bench (in-process)".to_string()
+    };
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let qps_note = match target_qps {
-        Some(qps) => format!("{qps:.0}"),
-        None => "null".to_string(),
+    let note = if spec.target_qps.is_some() {
+        "open-loop offered rate; latency measured from scheduled send times \
+         (coordinated-omission-safe)"
+    } else {
+        "closed loop; latency measured from each op's actual send time"
     };
-    let slo_note = match slo.p99 {
-        Some(p99) => format!("\"p99 <= {:.0} ms, zero errors, zero sheds\"", ms(p99)),
-        None => "\"none declared\"".to_string(),
+    let mut input = vec![
+        ("tenants", spec.tenants.to_string()),
+        ("clients", spec.clients.to_string()),
+        ("ops_per_client", spec.ops_per_client.to_string()),
+        ("keys_per_tenant", spec.keys_per_tenant.to_string()),
+        ("run_length", spec.run_length.to_string()),
+        ("sample_size", spec.sample_size.to_string()),
+        ("refresh_rounds", spec.refresh_rounds.to_string()),
+        (
+            "target_qps",
+            spec.target_qps
+                .map_or("null".to_string(), |q| q.to_string()),
+        ),
+        ("seed", spec.seed.to_string()),
+    ];
+    if run.http {
+        input.extend([
+            ("groups", fleet.groups.to_string()),
+            ("replicas_per_group", fleet.replicas.to_string()),
+            ("vnodes", fleet.vnodes.to_string()),
+            ("chaos", fleet.chaos.is_some().to_string()),
+            (
+                "ttl_ms",
+                fleet.ttl.map_or(0, |ttl| ttl.as_millis()).to_string(),
+            ),
+        ]);
+    } else if let Some(budget) = spec.budget_sample_points {
+        input.push(("budget_sample_points", budget.to_string()));
+    }
+    let section = |pairs: &[(&str, String)]| {
+        pairs
+            .iter()
+            .map(|(key, value)| format!("    \"{key}\": {value}"))
+            .collect::<Vec<_>>()
+            .join(",\n")
     };
-    let mut command = format!(
-        "opaq serve-bench{} --tenants {} --clients {} --ops {} --seed {}",
-        if benchmark.contains("--http") {
-            " --http"
-        } else {
-            ""
-        },
-        spec.tenants,
-        spec.clients,
-        spec.ops_per_client,
-        spec.seed,
-    );
-    if let Some(qps) = target_qps {
-        command.push_str(&format!(" --qps {qps:.0}"));
-    }
-    if let Some(p99) = slo.p99 {
-        command.push_str(&format!(" --slo-p99-ms {:.0}", ms(p99)));
-    }
+    let criterion = match fleet.slo.p99 {
+        Some(p99) => format!("p99 <= {} ms, zero errors, zero sheds", p99.as_millis()),
+        None => "none declared".to_string(),
+    };
     format!(
-        "{{\n  \"benchmark\": \"{benchmark}\",\n  \"command\": \"{command}\",\n  \"recorded\": \"{}\",\n  \"host\": {{\n    \"cores\": {cores},\n    \"arch\": \"{}\",\n    \"note\": \"open-loop offered rate; latency measured from scheduled send times (coordinated-omission-safe)\"\n  }},\n  \"input\": {{\n    \"tenants\": {},\n    \"clients\": {},\n    \"ops_per_client\": {},\n    \"keys_per_tenant\": {},\n    \"run_length\": {},\n    \"sample_size\": {},\n    \"refresh_rounds\": {},\n    \"target_qps\": {qps_note},\n    \"seed\": {}\n  }},\n  \"results\": {{\n    \"ops\": {ops},\n    \"verified\": {verified},\n    \"torn_reads\": {torn_reads},\n    \"wall_ms\": {:.3},\n    \"throughput_ops_s\": {:.1},\n    \"p50_ms\": {:.3},\n    \"p99_ms\": {:.3},\n    \"p999_ms\": {:.3},\n    \"max_ms\": {:.3},\n    \"error_rate\": {error_rate:.6},\n    \"shed_rate\": {shed_rate:.6}\n  }},\n  \"acceptance\": {{\n    \"criterion\": {slo_note},\n    \"slo_checks\": {},\n    \"slo_breaches\": {},\n    \"met\": {}\n  }}\n}}\n",
+        "{{\n  \"benchmark\": {},\n  \"command\": {},\n  \"recorded\": \"{}\",\n  \"host\": {{\n    \
+         \"cores\": {cores},\n    \"arch\": \"{}\",\n    \"note\": \"{note}\"\n  }},\n  \
+         \"input\": {{\n{}\n  }},\n  \"results\": {{\n{}\n  }},\n  \"acceptance\": {{\n    \
+         \"criterion\": \"{criterion}\",\n    \"slo_checks\": {},\n    \"slo_breaches\": {},\n    \
+         \"met\": {met}\n  }}\n}}\n",
+        quoted(&benchmark),
+        quoted(&bench_command(run)),
         today_utc(),
         std::env::consts::ARCH,
-        spec.tenants,
-        spec.clients,
-        spec.ops_per_client,
-        spec.keys_per_tenant,
-        spec.run_length,
-        spec.sample_size,
-        spec.refresh_rounds,
-        spec.seed,
-        ms(wall),
-        ops as f64 / wall.as_secs_f64().max(1e-9),
-        ms(latency.p50),
-        ms(latency.p99),
-        ms(latency.p999),
-        ms(latency.max),
+        section(&input),
+        section(results),
         outcome.checks.len(),
         outcome.breaches(),
-        torn_reads == 0 && !outcome.is_breached(),
     )
 }
 
@@ -878,260 +1136,6 @@ fn today_utc() -> String {
     let m = if mp < 10 { mp + 3 } else { mp - 9 };
     let y = if m <= 2 { y + 1 } else { y };
     format!("{y:04}-{m:02}-{d:02}")
-}
-
-/// `opaq serve-bench --http`: the same workload shape replayed over real TCP
-/// through the `opaq-net` front-end, byte-verified per response, plus a TTL
-/// probe tenant that must be observed going stale and refreshing.
-fn serve_bench_http(args: &Args, spec: WorkloadSpec, slo: SloThresholds) -> CliResult<String> {
-    let ttl_ms = args.u64_or("ttl-ms", 150)?;
-    let http_spec = HttpWorkloadSpec {
-        target_qps: spec.target_qps,
-        spec,
-        ttl: (ttl_ms > 0).then(|| Duration::from_millis(ttl_ms)),
-        server: ServerConfig::default(),
-        slo,
-    };
-    let report = opaq_net::run_http_workload(&http_spec)
-        .map_err(|e| CliError::Usage(format!("http workload failed: {e}")))?;
-    let mut out = format!(
-        "served {} HTTP requests over {} tenants in {:?} ({:.0} ops/s); {} refreshes \
-         published mid-workload, {} responses verified byte-for-byte, {} /v1/query plans \
-         replayed offline and verified (of {}), {} torn reads, {} http errors, {} sheds; \
-         ttl probe: {} non-fresh responses, {} expiry-refresh cycles observed\n",
-        report.ops,
-        http_spec.spec.tenants,
-        report.wall,
-        report.throughput(),
-        report.refreshes_published,
-        report.verified,
-        report.plan_verified,
-        report.plan_ops,
-        report.torn_reads,
-        report.http_errors,
-        report.sheds,
-        report.non_fresh_served,
-        report.ttl_refreshes_observed,
-    );
-    out.push_str(&report.render());
-    if let Some(path) = args.get("bench-out") {
-        let json = render_bench_serve_json(
-            "opaq serve-bench --http (open-loop over TCP)",
-            &http_spec.spec,
-            report.target_qps,
-            &report.latency,
-            report.wall,
-            report.ops + report.plan_ops,
-            report.verified + report.plan_verified,
-            report.torn_reads,
-            report.error_rate(),
-            report.shed_rate(),
-            &http_spec.slo,
-            &report.slo,
-        );
-        std::fs::write(path, json)
-            .map_err(|e| CliError::Usage(format!("could not write {path}: {e}")))?;
-        out.push_str(&format!("bench report written to {path}\n"));
-    }
-    if report.torn_reads > 0 || report.http_errors > 0 {
-        return Err(CliError::Usage(format!(
-            "{} torn reads / {} http errors observed over the wire\n{out}",
-            report.torn_reads, report.http_errors
-        )));
-    }
-    if report.trace_violations > 0 {
-        return Err(CliError::Usage(format!(
-            "{} responses missed (or mis-echoed) x-opaq-trace-id — every response must carry \
-             the trace header\n{out}",
-            report.trace_violations
-        )));
-    }
-    if report.slo.is_breached() {
-        return Err(CliError::Usage(format!(
-            "{} of {} declared SLO objectives breached\n{out}",
-            report.slo.breaches(),
-            report.slo.checks.len()
-        )));
-    }
-    if report.plan_verified < report.plan_ops {
-        return Err(CliError::Usage(format!(
-            "{} of {} /v1/query plans failed their offline byte replay\n{out}",
-            report.plan_ops - report.plan_verified,
-            report.plan_ops
-        )));
-    }
-    if http_spec.ttl.is_some() && report.ttl_refreshes_observed == 0 {
-        return Err(CliError::Usage(format!(
-            "no TTL expiry-refresh cycle observed — staleness plumbing is broken\n{out}"
-        )));
-    }
-    Ok(out)
-}
-
-/// `opaq serve-bench --http --replicas N [--chaos]`: the replica-fleet run.
-///
-/// One primary plus N-1 secondaries bootstrapped over the wire, driven by
-/// circuit-breaker failover clients.  With `--chaos`, every replica sits
-/// behind a fault-injecting proxy and one replica is killed and restarted
-/// mid-run.  Every answer is still verified byte-for-byte against the
-/// sketch version it claims — a single torn or mis-versioned answer fails
-/// the command, chaos or not.
-fn serve_bench_replicas(args: &Args, spec: WorkloadSpec, replicas: usize) -> CliResult<String> {
-    let chaos = args.flag("chaos");
-    let replica_spec = ReplicaWorkloadSpec {
-        spec,
-        replicas,
-        chaos: chaos.then(ChaosConfig::default),
-        kill_restart: chaos,
-        ..ReplicaWorkloadSpec::default()
-    };
-    let report = opaq_net::run_replica_workload(&replica_spec)
-        .map_err(|e| CliError::Usage(format!("replica fleet workload failed: {e}")))?;
-    let mut out = format!(
-        "served {} requests across a {}-replica fleet in {:?} ({:.0} ops/s); {} verified \
-         byte-for-byte, {} torn reads, {} http errors, {} degraded replays, {} unanswered\n",
-        report.ops,
-        report.replicas,
-        report.wall,
-        report.throughput(),
-        report.verified,
-        report.torn_reads,
-        report.http_errors,
-        report.degraded,
-        report.unanswered,
-    );
-    out.push_str(&report.render());
-    if report.torn_reads > 0 || report.http_errors > 0 {
-        return Err(CliError::Usage(format!(
-            "{} torn reads / {} http errors across the fleet — replica answers diverged from \
-             their claimed sketch versions\n{out}",
-            report.torn_reads, report.http_errors
-        )));
-    }
-    if chaos && (report.kills == 0 || report.restarts < report.kills) {
-        return Err(CliError::Usage(format!(
-            "chaos run never exercised the kill/restart cycle ({} kills, {} restarts)\n{out}",
-            report.kills, report.restarts
-        )));
-    }
-    Ok(out)
-}
-
-/// `opaq serve-bench --http --groups N [--replicas M] [--chaos]`: the
-/// ring-partitioned fleet run.
-///
-/// A consistent-hash ring splits the tenants across N replica groups (M
-/// replicas each, peer-synced within the group); clients route by ring
-/// ownership, every N-th op is deliberately misrouted to force the
-/// `wrong_owner` → one-hop re-route arc, and every fifth op is a glob
-/// `coalesce` plan that scatters across the groups and must match the
-/// unpartitioned-catalog oracle byte-for-byte.  Gates: zero torn answers,
-/// zero mis-owned answers (`x-opaq-owner` vs the ring), zero trace
-/// violations, and — with `--chaos` — a completed kill/restart cycle.
-fn serve_bench_routed(
-    args: &Args,
-    spec: WorkloadSpec,
-    groups: usize,
-    slo: SloThresholds,
-) -> CliResult<String> {
-    let chaos = args.flag("chaos");
-    let replicas = args.u64_or("replicas", 2)? as usize;
-    if replicas == 0 {
-        return Err(CliError::Usage(
-            "--replicas must be at least 1 per group".to_string(),
-        ));
-    }
-    let vnodes = u32::try_from(args.u64_or("vnodes", 128)?)
-        .map_err(|_| CliError::Usage("--vnodes out of range".to_string()))?;
-    if vnodes == 0 {
-        return Err(CliError::Usage("--vnodes must be at least 1".to_string()));
-    }
-    let target_qps = spec.target_qps;
-    let routed_spec = RoutedWorkloadSpec {
-        spec,
-        groups,
-        replicas_per_group: replicas,
-        vnodes,
-        chaos: chaos.then(ChaosConfig::default),
-        kill_restart: chaos && replicas >= 2,
-        target_qps,
-        slo,
-        ..RoutedWorkloadSpec::default()
-    };
-    let report = opaq_net::run_routed_workload(&routed_spec)
-        .map_err(|e| CliError::Usage(format!("routed fleet workload failed: {e}")))?;
-    let mut out = format!(
-        "served {} requests across {} ring groups x {} replicas in {:?} ({:.0} ops/s); \
-         {} verified byte-for-byte, {} torn, {} mis-owned, {} re-routes, {} glob plans \
-         oracle-verified (of {})\n",
-        report.ops,
-        report.groups,
-        report.replicas_per_group,
-        report.wall,
-        report.throughput(),
-        report.verified,
-        report.torn_reads,
-        report.mis_owned,
-        report.reroutes,
-        report.plan_verified,
-        report.plan_ops,
-    );
-    out.push_str(&report.render());
-    if let Some(path) = args.get("bench-out") {
-        let json = render_bench_serve_json(
-            &format!("opaq serve-bench --http --groups {groups} (routed fleet, open-loop)"),
-            &routed_spec.spec,
-            report.target_qps,
-            &report.latency,
-            report.wall,
-            report.ops + report.plan_ops,
-            report.verified + report.plan_verified,
-            report.torn_reads,
-            report.error_rate(),
-            report.shed_rate(),
-            &routed_spec.slo,
-            &report.slo,
-        );
-        std::fs::write(path, json)
-            .map_err(|e| CliError::Usage(format!("could not write {path}: {e}")))?;
-        out.push_str(&format!("bench report written to {path}\n"));
-    }
-    if report.torn_reads > 0 || report.mis_owned > 0 {
-        return Err(CliError::Usage(format!(
-            "{} torn / {} mis-owned answers — a response's bytes or its x-opaq-owner header \
-             diverged from the ring's truth\n{out}",
-            report.torn_reads, report.mis_owned
-        )));
-    }
-    if report.trace_violations > 0 {
-        return Err(CliError::Usage(format!(
-            "{} responses missed (or mis-echoed) x-opaq-trace-id across the routed hops\n{out}",
-            report.trace_violations
-        )));
-    }
-    if !chaos && (report.http_errors > 0 || report.plan_verified < report.plan_ops) {
-        return Err(CliError::Usage(format!(
-            "{} http errors, {} of {} plans failed the oracle replay — on a fault-free run \
-             both must be zero\n{out}",
-            report.http_errors,
-            report.plan_ops - report.plan_verified,
-            report.plan_ops
-        )));
-    }
-    if chaos && routed_spec.kill_restart && (report.kills == 0 || report.restarts < report.kills) {
-        return Err(CliError::Usage(format!(
-            "chaos run never exercised the kill/restart cycle ({} kills, {} restarts)\n{out}",
-            report.kills, report.restarts
-        )));
-    }
-    if report.slo.is_breached() {
-        return Err(CliError::Usage(format!(
-            "{} of {} declared SLO objectives breached\n{out}",
-            report.slo.breaches(),
-            report.slo.checks.len()
-        )));
-    }
-    Ok(out)
 }
 
 /// `opaq serve`: the HTTP front-end over synthetic tenants, until stdin EOF.
@@ -1926,20 +1930,176 @@ mod tests {
     }
 
     #[test]
-    fn serve_bench_replica_flags_are_validated() {
-        let err = run("serve-bench", &args(&["--quick", "--replicas", "2"])).unwrap_err();
-        assert!(err.to_string().contains("add --http"), "{err}");
-        let err = run("serve-bench", &args(&["--quick", "--chaos"])).unwrap_err();
-        assert!(err.to_string().contains("add --http"), "{err}");
-        let err = run(
-            "serve-bench",
-            &args(&["--http", "--quick", "--replicas", "2", "--qps", "100"]),
-        )
-        .unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("not supported in replica-fleet mode"),
-            "{err}"
+    fn serve_bench_has_one_set_of_defaults_and_typed_errors() {
+        // Fleet-shaping flags need --http.
+        for bad in [
+            vec!["--quick", "--replicas", "2"],
+            vec!["--quick", "--chaos"],
+            vec!["--quick", "--ttl-ms", "50"],
+        ] {
+            let err = run("serve-bench", &args(&bad)).unwrap_err();
+            assert!(err.to_string().contains("add --http"), "{bad:?}: {err}");
+        }
+        // One default topology, with or without --groups.
+        let plain = bench_run(&args(&["--http"])).unwrap();
+        assert_eq!((plain.fleet.groups, plain.fleet.replicas), (1, 1));
+        assert_eq!(plain.fleet.ttl, Some(Duration::from_millis(150)));
+        let routed = bench_run(&args(&["--http", "--groups", "2"])).unwrap();
+        assert_eq!((routed.fleet.groups, routed.fleet.replicas), (2, 1));
+        // --chaos with fewer than 2 replicas is refused, never bumped to 2.
+        for bad in [
+            vec!["--http", "--chaos"],
+            vec!["--http", "--replicas", "1", "--chaos"],
+            vec!["--http", "--groups", "2", "--chaos"],
+        ] {
+            let err = bench_run(&args(&bad)).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{bad:?}");
+            assert!(err.to_string().contains("--replicas 2"), "{bad:?}: {err}");
+        }
+        for bad in [
+            vec!["--http", "--groups", "0"],
+            vec!["--http", "--replicas", "0"],
+            vec!["--http", "--vnodes", "0"],
+        ] {
+            assert!(
+                matches!(bench_run(&args(&bad)), Err(CliError::Usage(_))),
+                "{bad:?}"
+            );
+        }
+        // --ttl-ms, --qps and --slo-p99-ms are honoured in every topology.
+        for shape in [
+            vec!["--http"],
+            vec!["--http", "--replicas", "2", "--chaos"],
+            vec!["--http", "--groups", "2", "--replicas", "2"],
+        ] {
+            let mut tokens = shape.clone();
+            tokens.extend(["--ttl-ms", "70", "--qps", "500", "--slo-p99-ms", "100"]);
+            let parsed = bench_run(&args(&tokens)).unwrap();
+            assert_eq!(
+                parsed.fleet.ttl,
+                Some(Duration::from_millis(70)),
+                "{shape:?}"
+            );
+            assert_eq!(parsed.fleet.spec.target_qps, Some(500.0), "{shape:?}");
+            assert_eq!(
+                parsed.fleet.slo.p99,
+                Some(Duration::from_millis(100)),
+                "{shape:?}"
+            );
+        }
+        let off = bench_run(&args(&["--http", "--ttl-ms", "0"])).unwrap();
+        assert_eq!(off.fleet.ttl, None);
+    }
+
+    #[test]
+    fn bench_command_reproduces_the_parsed_spec() {
+        let reparse = |command: &str| {
+            let tokens: Vec<&str> = command.split_whitespace().collect();
+            assert_eq!(&tokens[..2], ["opaq", "serve-bench"], "{command}");
+            bench_run(&args(&tokens[2..])).unwrap()
+        };
+        for tokens in [
+            vec!["--quick"],
+            vec!["--quick", "--budget", "500", "--qps", "1234.5"],
+            vec!["--http", "--quick", "--ttl-ms", "0"],
+            vec![
+                "--http",
+                "--quick",
+                "--groups",
+                "3",
+                "--replicas",
+                "2",
+                "--chaos",
+                "--vnodes",
+                "64",
+                "--ttl-ms",
+                "90",
+                "--tenants",
+                "6",
+                "--keys-per-tenant",
+                "4000",
+                "--run-length",
+                "1000",
+                "--sample-size",
+                "100",
+                "--refreshes",
+                "2",
+                "--seed",
+                "9",
+                "--qps",
+                "800",
+                "--slo-p99-ms",
+                "75",
+            ],
+        ] {
+            let original = bench_run(&args(&tokens)).unwrap();
+            let again = reparse(&bench_command(&original));
+            assert_eq!(
+                format!("{original:?}"),
+                format!("{again:?}"),
+                "{tokens:?} -> {}",
+                bench_command(&original)
+            );
+        }
+    }
+
+    #[test]
+    fn routed_bench_out_carries_the_fleet_fields_and_a_rerunnable_command() {
+        let bench_path = temp("bench-routed", "json");
+        let tokens = [
+            "--http",
+            "--quick",
+            "--groups",
+            "2",
+            "--tenants",
+            "4",
+            "--clients",
+            "2",
+            "--ops",
+            "40",
+            "--keys-per-tenant",
+            "4000",
+            "--ttl-ms",
+            "60",
+            "--qps",
+            "2000",
+            "--slo-p99-ms",
+            "5000",
+            "--bench-out",
+            bench_path.to_str().unwrap(),
+        ];
+        let out = run("serve-bench", &args(&tokens)).unwrap();
+        assert!(out.contains("2 groups x 1 replicas"), "{out}");
+        assert!(out.contains("| torn 0 | mis-owned 0 |"), "{out}");
+        let json = std::fs::read_to_string(&bench_path).unwrap();
+        std::fs::remove_file(&bench_path).unwrap();
+        let parsed = Json::parse(&json).unwrap();
+        let results = parsed.get("results").unwrap();
+        for field in [
+            "mis_owned",
+            "plan_ops",
+            "plan_verified",
+            "reroutes",
+            "kills",
+        ] {
+            assert!(results.get(field).is_some(), "missing {field} in:\n{json}");
+        }
+        assert_eq!(
+            results
+                .get("group_balance")
+                .and_then(Json::as_array)
+                .map(<[Json]>::len),
+            Some(2),
+            "{json}"
+        );
+        assert!(json.contains("\"met\": true"), "{json}");
+        // The written command reruns exactly the spec this run parsed.
+        let command = parsed.get("command").and_then(Json::as_str).unwrap();
+        let rerun: Vec<&str> = command.split_whitespace().skip(2).collect();
+        assert_eq!(
+            format!("{:?}", bench_run(&args(&tokens)).unwrap()),
+            format!("{:?}", bench_run(&args(&rerun)).unwrap()),
+            "{command}"
         );
     }
 
@@ -1963,10 +2123,10 @@ mod tests {
             ]),
         )
         .unwrap();
-        assert!(out.contains("2-replica fleet"), "{out}");
+        assert!(out.contains("across 1 groups x 2 replicas"), "{out}");
         assert!(out.contains("0 torn reads"), "{out}");
         assert!(out.contains("0 http errors"), "{out}");
-        assert!(out.contains("replica fleet: 2 replicas"), "{out}");
+        assert!(out.contains("fleet: 1 groups x 2 replicas"), "{out}");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   harness uses to label its tables.
 //!
 //! All generators are deterministic functions of their seed so every
-//! experiment in EXPERIMENTS.md can be reproduced bit-for-bit.
+//! experiment can be reproduced bit-for-bit.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

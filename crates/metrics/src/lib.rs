@@ -68,10 +68,9 @@
 //! | `opaq_trace_spans_dropped` | counter | spans lost to write contention |
 //! | `opaq_slow_log_entries` | gauge | slow-log occupancy |
 //! | `opaq_request_duration_nanos` | histogram | end-to-end request latency |
-//! | `opaq_plan_stage_duration_nanos{stage=}` | histogram | per-stage plan latency |
+//! | `opaq_plan_stage_duration_nanos{stage=}` | histogram | per-stage plan latency; its `_count` is the stage execution count |
 //! | `opaq_request_latency_nanos{tenant=,quantile=}` | gauge | per-tenant latency quantiles |
-//! | `opaq_plan_stage_latency_nanos{stage=,quantile=}` | gauge | per-stage latency quantiles |
-//! | `opaq_plan_stage_executions{stage=}` | gauge | per-stage execution counts |
+//! | `opaq_request_count{tenant=}` | counter | requests recorded per tenant |
 //! | `opaq_catalog_*` | counter/gauge | catalog activity (publishes, snapshots, reloads, …) |
 //! | `opaq_slo_breaches` | counter | requests over the configured SLO |
 //! | `opaq_failovers`, `opaq_breaker_opens`, `opaq_sync_deltas_applied`, `opaq_chaos_faults_injected` | counter | replication/failover activity |

@@ -1,8 +1,8 @@
 //! Fixed-width text tables for the experiment binaries.
 //!
 //! Every table/figure binary in `opaq-bench` prints its results in the same
-//! layout as the paper's tables so EXPERIMENTS.md can juxtapose them
-//! directly.  This tiny builder keeps the formatting in one place.
+//! layout as the paper's tables, so a printed row can be set beside the
+//! paper's row directly.  This tiny builder keeps the formatting in one place.
 
 use std::fmt::Write as _;
 

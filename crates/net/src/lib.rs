@@ -67,18 +67,23 @@
 //!   it into the request's span tree.
 //! * **Client** ([`client`]): minimal keep-alive client with transparent
 //!   single reconnect, for the harness/CLI/examples.
-//! * **Workload harness** ([`workload`]): the HTTP twin of
-//!   `opaq_serve::run_workload` — N client threads × M tenants over real
-//!   sockets, every response re-rendered locally from the registered sketch
-//!   of its claimed version and compared **byte-for-byte**, plus a TTL probe
-//!   that watches an expiring tenant serve non-fresh tags until its
-//!   background refresh publishes.  With
-//!   [`workload::HttpWorkloadSpec::target_qps`] the clients hold a fixed
-//!   **open-loop** offered rate and measure latency from each op's scheduled
-//!   send time (coordinated-omission-safe), 503s are tallied as *sheds*
-//!   rather than errors, and the report carries verdicts for any declared
-//!   [`opaq_metrics::SloThresholds`] — the machinery behind
-//!   `opaq serve-bench --http --qps N --slo-p99-ms M`.
+//! * **Fleet harness** ([`workload`]): one harness,
+//!   [`workload::run_fleet_workload`], for every HTTP topology — G ring
+//!   groups × R replicas, where 1×1 is the plain HTTP run (the twin of
+//!   `opaq_serve::run_workload` over real sockets), 1×R a replica fleet and
+//!   G×R the partitioned fleet.  N client threads × M tenants, every
+//!   response re-rendered locally from the registered sketch of its claimed
+//!   version and compared **byte-for-byte**, every fifth op a glob plan
+//!   replayed offline, and a TTL probe that watches an expiring tenant
+//!   serve non-fresh tags until its background refresh publishes.  With
+//!   `target_qps` set on its `WorkloadSpec` the clients hold a fixed
+//!   **open-loop** offered rate and measure latency from each op's
+//!   scheduled send time (coordinated-omission-safe), 503s are tallied as
+//!   *sheds* rather than errors, and the report carries verdicts for any
+//!   declared [`opaq_metrics::SloThresholds`] — the machinery behind
+//!   `opaq serve-bench --http [--groups G] [--replicas R] [--chaos] --qps N
+//!   --slo-p99-ms M`.  The in-process `opaq_serve::run_workload` remains
+//!   the harness for eviction churn (`serve-bench` without `--http`).
 //!
 //! ## Replication + failover model
 //!
@@ -121,7 +126,7 @@
 //!    truncate mid-body, reset after N bytes, flap) sits between harness
 //!    and replicas in `opaq serve-bench --http --replicas N --chaos`, so
 //!    the failover path above is exercised by real torn sockets while every
-//!    answer is still verified byte-for-byte ([`failover`]).
+//!    answer is still verified byte-for-byte ([`workload`]).
 //!
 //! ## Routing + partitioning model
 //!
@@ -173,14 +178,16 @@
 //!   is **byte-identical** to the same plan on an unpartitioned catalog
 //!   (the oracle the routed harness and the CI `routing-smoke` job compare
 //!   against).
-//! * **The partitioned harness** ([`routed::run_routed_workload`], i.e.
-//!   `opaq serve-bench --http --groups G --replicas M [--chaos]`): stands
-//!   up G groups × M replicas, routes ring-aware clients (with deliberate
-//!   misroutes to exercise the re-route arc), verifies every answer
-//!   byte-for-byte *and* ownership-checks every 200's `x-opaq-owner`
-//!   against the ring, scatters glob plans and replays them against the
-//!   unpartitioned oracle, and reports per-group tenant/op balance — under
-//!   the same chaos proxies and kill/restart monkey as the flat fleet.
+//! * **One harness for every shape** ([`workload::run_fleet_workload`],
+//!   i.e. `opaq serve-bench --http --groups G --replicas R [--chaos]`):
+//!   stands up G groups × R replicas, routes ring-aware clients (with
+//!   deliberate misroutes to exercise the re-route arc when G ≥ 2),
+//!   verifies every answer byte-for-byte *and* ownership-checks every
+//!   200's `x-opaq-owner` against the ring, scatters glob plans and replays
+//!   them against the unpartitioned oracle, and reports per-group
+//!   tenant/op balance — under chaos proxies and a kill/restart monkey when
+//!   asked.  One group is the degenerate ring: every tenant is owned,
+//!   misroutes fall back to the owner, and nothing scatters.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -189,7 +196,6 @@ pub mod backoff;
 pub mod chaos;
 pub mod circuit;
 pub mod client;
-pub mod failover;
 pub mod http;
 pub mod json;
 pub mod replica;
@@ -203,21 +209,20 @@ pub use backoff::Backoff;
 pub use chaos::{ChaosConfig, ChaosCounters, ChaosProxy};
 pub use circuit::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use client::{ClientResponse, ClientStats, ConnectError, ConnectErrorKind, HttpClient};
-pub use failover::{run_replica_workload, ReplicaLoadReport, ReplicaWorkloadSpec};
 pub use http::{Request, Response};
 pub use json::Json;
 pub use replica::{
     FailoverResponse, ReplicaConfig, ReplicaConfigBuilder, ReplicaSet, ReplicationStats,
 };
 pub use ring::{GroupConfig, HashRing, RingConfig, RingMembership};
-pub use routed::{run_routed_workload, RoutedFleet, RoutedLoadReport, RoutedWorkloadSpec};
+pub use routed::RoutedFleet;
 pub use server::{
     render_plan_response_json, render_response_json, ApiRequest, HttpServer, ServerConfig,
     ServerConfigBuilder, ServerStats, Telemetry, FRESHNESS_HEADER, OWNER_HEADER, SOURCES_HEADER,
     TRACE_HEADER, VERSION_HEADER,
 };
 pub use sync::{bootstrap, fetch_manifest, fetch_sketch, sync_once, PeerEntry, Replicator};
-pub use workload::{run_http_workload, HttpLoadReport, HttpWorkloadSpec};
+pub use workload::{run_fleet_workload, FleetLoadReport, FleetWorkloadSpec, GroupShare};
 
 use opaq_serve::ServeError;
 use std::fmt;

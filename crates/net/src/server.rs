@@ -187,17 +187,18 @@ impl Telemetry {
                 executor.stages().shared(stage),
             );
         }
-        self.update(engine, executor, replication, ring);
+        self.update(engine, replication, ring);
     }
 
     /// Mirror every scalar whose source of truth lives outside the registry
-    /// (engine quantile summaries, catalog stats, replication counters,
-    /// trace-ring tallies) into their registered series.  Called on each
-    /// `/metrics` scrape.
+    /// (per-tenant quantile summaries, catalog stats, replication counters,
+    /// trace-ring tallies) into their registered series.  Per-stage plan
+    /// latency has no mirror: the `opaq_plan_stage_duration_nanos`
+    /// histogram registered in [`Telemetry::bind`] is its one source, and
+    /// its `_count` is the stage count.  Called on each `/metrics` scrape.
     pub fn update(
         &self,
         engine: &QueryEngine,
-        executor: &PlanExecutor,
         replication: Option<&Arc<ReplicationStats>>,
         ring: Option<&RingMembership>,
     ) {
@@ -225,27 +226,6 @@ impl Telemetry {
             mirror(tenant.as_str(), &snap);
         }
         mirror("_all", &engine.overall().snapshot());
-
-        const STAGE_LAT_HELP: &str = "Per-plan-stage latency quantile summary (nanoseconds).";
-        const STAGE_CNT_HELP: &str = "Plan stages recorded.";
-        for (stage, snap) in executor.stages().snapshot() {
-            for (q, value) in [("p50", snap.p50), ("p99", snap.p99), ("p999", snap.p999)] {
-                self.registry
-                    .gauge_with(
-                        "opaq_plan_stage_latency_nanos",
-                        STAGE_LAT_HELP,
-                        &[("stage", stage.as_str()), ("quantile", q)],
-                    )
-                    .set(value.as_nanos().min(u64::MAX as u128) as u64);
-            }
-            self.registry
-                .counter_with(
-                    "opaq_plan_stage_count",
-                    STAGE_CNT_HELP,
-                    &[("stage", stage.as_str())],
-                )
-                .set(snap.count);
-        }
 
         let stats = engine.catalog().stats();
         for (name, help, value) in [
@@ -1089,12 +1069,7 @@ fn route_inner(
             if request.method != "GET" {
                 return Response::error(405, "metrics is GET-only");
             }
-            telemetry.update(
-                engine,
-                executor,
-                config.replication.as_ref(),
-                config.ring.as_deref(),
-            );
+            telemetry.update(engine, config.replication.as_ref(), config.ring.as_deref());
             Response::text(200, telemetry.registry.render())
         }
         ["v1", "_debug", "trace"] => route_debug_trace(telemetry, request),

@@ -1,41 +1,71 @@
-//! The HTTP twin of `opaq_serve::run_workload`: replay a mixed read/refresh
-//! workload over real TCP and verify every response **byte-for-byte**.
+//! The fleet workload harness: one runner for every HTTP serving topology,
+//! `groups × replicas`, with every answer verified **byte-for-byte**.
 //!
-//! Verification discipline (same as the in-process harness, now across the
-//! wire): before a version is published, the refresher registers an
-//! independent clone of that version's sketch keyed `(tenant, version)`.
-//! Every HTTP response names the version that answered it in the
-//! `x-opaq-version` header, so the client re-executes the request against
-//! the registered sketch, re-renders the canonical JSON body through the
-//! *same* renderer the server uses, and compares bytes.  Any response that
-//! is not exactly the serialization of one complete published version — a
-//! torn sketch, an invented version, a half-flushed body — counts as torn.
+//! [`run_fleet_workload`] stands up G ring groups of R replicas each — a
+//! primary holding the group's catalog of record plus R-1 secondaries that
+//! bootstrap from it over `/v1/_sync` and then poll its deltas — and drives
+//! N ring-aware [`RoutedFleet`] clients against them.  The degenerate shapes
+//! are the familiar runs: 1×1 is the plain HTTP run, 1×R a replica fleet
+//! with failover inside one group, G×R the partitioned fleet.
 //!
-//! On top of that, an optional **TTL probe tenant** gets a short `max_age`
-//! and a refresh hook into a real `RefreshPool`: a dedicated watcher client
-//! polls it over HTTP and records the freshness transitions — `fresh` until
-//! expiry, then `stale`/`refreshing` (old version still served, byte-exact)
-//! until the background re-ingest publishes, then `fresh` again at the next
-//! version.
+//! Verification discipline (the in-process harness's, across the wire):
+//! before a version is published, the refresher registers an independent
+//! clone of that version's sketch keyed `(tenant, version)`.  Every response
+//! names the version that answered it in `x-opaq-version`, so the client
+//! re-executes the request against the registered sketch, re-renders the
+//! canonical JSON body through the *same* renderer the server uses, and
+//! compares bytes.  Any response that is not exactly the serialization of
+//! one complete published version — a torn sketch, an invented version, a
+//! half-flushed body — counts as torn.  Replication applies entries at the
+//! primary's exact version (`publish_at`), so an answer from a lagging
+//! secondary still names a registered version: staleness is fine, torn
+//! bytes are not.  Every 200 must also carry the ring owner's name in
+//! `x-opaq-owner` (else it is *mis-owned*), and every response must echo
+//! the trace id the client stamped.
 //!
-//! Every fifth client op is a **plan op**: a `POST /v1/query` pipeline
-//! (`fetch tenant-*/events | coalesce | …`) that fans out over every main
-//! tenant.  The response embeds the full `(tenant, dataset, version,
-//! freshness)` provenance, so the client replays the plan offline — looks
-//! up each claimed version's registered sketch, fuses them with the same
-//! deterministic merge tree, re-runs the extract, re-renders through the
-//! server's renderer — and compares bytes.  A plan answer that names a
-//! version the refresher never registered, skips a tenant, or differs by
-//! one byte from the offline replay counts as torn.
+//! The op mix is the same in every topology:
+//! * Single-target requests from `opaq_serve::request_for`, routed to the
+//!   tenant's owning group.  GETs fail over inside the group; a
+//!   `quantile_batch` POST gets one attempt, never a replay.  Every 7th op
+//!   is sent to a non-owning group on purpose, to force the typed
+//!   `wrong_owner` → one-hop re-route (with one group it is a plain op).
+//! * Every fifth op is a `POST /v1/query` glob plan (`fetch tenant-*/events
+//!   | coalesce | …`) through a rotating coordinator group, which scatters to
+//!   its peers.  The client replays it offline — fuse the registered
+//!   sketches of every claimed version, re-run the extract, re-render — and
+//!   that replay is exactly what an unpartitioned catalog would answer.
+//!
+//! Two optional legs:
+//! * A **TTL probe tenant** ([`FleetWorkloadSpec::ttl`]), owned by one
+//!   group, whose primary gives it a short `max_age` and a refresh hook into
+//!   a real `RefreshPool`.  A watcher polls that primary directly
+//!   (replicated entries on secondaries carry no TTL) and records the
+//!   freshness arc: `fresh`, then `stale`/`refreshing` (old version still
+//!   served, byte-exact) until the re-ingest publishes, then `fresh` again
+//!   at the next version.
+//! * **Chaos** ([`FleetWorkloadSpec::chaos`], needs R ≥ 2): a
+//!   fault-injecting [`ChaosProxy`] in front of every replica, and a monkey
+//!   that kills group 0's preferred secondary at ~25% of the run.  Clients
+//!   hold at their midpoint, still health-probing, until some client's
+//!   breaker for the victim has opened, so the outage is always seen by
+//!   traffic; an open-loop schedule moves past the hold, so the pause is
+//!   not recorded as latency.  Only then is the victim restarted on a
+//!   fresh port, re-bootstrapped, and its proxy repointed.
 
-use crate::client::HttpClient;
+use crate::chaos::{ChaosConfig, ChaosCounters, ChaosProxy};
+use crate::circuit::BreakerState;
+use crate::client::{ClientResponse, ClientStats, HttpClient};
 use crate::json::{write_escaped, Json};
+use crate::replica::{ReplicaConfig, ReplicationStats};
+use crate::ring::{GroupConfig, HashRing, RingConfig, RingMembership};
+use crate::routed::RoutedFleet;
 use crate::server::{
     render_plan_response_json, render_response_json, HttpServer, ServerConfig, ServerStats,
-    FRESHNESS_HEADER, SOURCES_HEADER, TRACE_HEADER, VERSION_HEADER,
+    FRESHNESS_HEADER, OWNER_HEADER, SOURCES_HEADER, TRACE_HEADER, VERSION_HEADER,
 };
+use crate::sync::{bootstrap, Replicator};
 use crate::{NetError, NetResult};
-use opaq_core::{IncrementalOpaq, OpaqConfig, QuantileSketch};
+use opaq_core::{IncrementalOpaq, OpaqConfig, OpaqError, QuantileSketch};
 use opaq_metrics::trace::format_nanos;
 use opaq_metrics::{
     render_latency_table, LatencyHistogram, LatencySnapshot, SloOutcome, SloThresholds, TraceId,
@@ -43,7 +73,8 @@ use opaq_metrics::{
 use opaq_query::{merge_tree, PlanResponse, PlanSource};
 use opaq_serve::{
     chunk_spec, execute_on, next_rand, request_for, CatalogStats, DatasetId, Freshness,
-    QueryEngine, QueryRequest, QueryResponse, RefreshPool, SketchCatalog, TenantId, WorkloadSpec,
+    QueryEngine, QueryRequest, QueryResponse, RefreshPool, ServeError, ServeResult, SketchCatalog,
+    TenantId, WorkloadSpec,
 };
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -51,122 +82,176 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Shape of one HTTP serving workload.
+/// Every N-th single-target op is sent to a non-owning group on purpose.
+const MISROUTE_EVERY: u64 = 7;
+/// Delta-poll interval of every secondary's [`Replicator`].
+const POLL: Duration = Duration::from_millis(40);
+/// How long the chaos monkey (and the clients held at their midpoint) wait
+/// for traffic to see the outage before giving up on it.
+const OUTAGE_DEADLINE: Duration = Duration::from_secs(5);
+/// The TTL probe tenant.  `tenant-*` globs do not match it, so plan replays
+/// never see it.
+const PROBE_TENANT: &str = "ttl-probe";
+/// The probe tenant's TTL unless a spec says otherwise.
+const DEFAULT_TTL: Duration = Duration::from_millis(150);
+
+/// Shape of one fleet workload: `groups × replicas` over real sockets.
 #[derive(Debug, Clone)]
-pub struct HttpWorkloadSpec {
-    /// Tenant/client/op counts and sketch parameters (shared with the
-    /// in-process harness; its `budget_sample_points`/`spill_dir` are
-    /// ignored here — eviction churn is the in-process suite's job).
+pub struct FleetWorkloadSpec {
+    /// Tenant/client/op counts, sketch parameters, the seed and the
+    /// open-loop rate (`target_qps`), shared with the in-process harness;
+    /// its `budget_sample_points`/`spill_dir` are ignored here — eviction
+    /// churn is the in-process suite's job.
     pub spec: WorkloadSpec,
-    /// TTL applied to the dedicated probe tenant; `None` disables the
-    /// staleness leg of the workload.
+    /// Replica groups on the consistent-hash ring.  At least 1.
+    pub groups: usize,
+    /// Serving replicas per group, primary included.  At least 1.
+    pub replicas: usize,
+    /// Virtual nodes per group on the ring.
+    pub vnodes: u32,
+    /// `Some` fronts every replica with a fault-injecting [`ChaosProxy`]
+    /// and kills + restarts group 0's preferred secondary mid-run (needs
+    /// `replicas >= 2`).
+    pub chaos: Option<ChaosConfig>,
+    /// TTL of the probe tenant; `None` disables the staleness leg.
     pub ttl: Option<Duration>,
-    /// Server tuning (workers, keep-alive, limits).
-    pub server: ServerConfig,
-    /// `Some(qps)` switches the clients from closed-loop to **open-loop**
-    /// rate control: ops get fixed scheduled send times at this aggregate
-    /// rate and latency is measured from the *schedule*, so server queueing
-    /// delay shows up in the distribution instead of silently throttling the
-    /// offered load (coordinated-omission-safe).  `None` is the classic
-    /// closed-loop as-fast-as-possible mode.
-    pub target_qps: Option<f64>,
-    /// Declared objectives; evaluated against the client-observed latency
-    /// distribution and error/shed rates into [`HttpLoadReport::slo`].
+    /// Declared objectives, evaluated against the client-observed latency
+    /// distribution and error/shed rates into [`FleetLoadReport::slo`].
     pub slo: SloThresholds,
 }
 
-impl Default for HttpWorkloadSpec {
+impl Default for FleetWorkloadSpec {
     fn default() -> Self {
         Self {
             spec: WorkloadSpec::default(),
-            ttl: Some(Duration::from_millis(200)),
-            server: ServerConfig::default(),
-            target_qps: None,
+            groups: 1,
+            replicas: 1,
+            vnodes: 128,
+            chaos: None,
+            ttl: Some(DEFAULT_TTL),
             slo: SloThresholds::default(),
         }
     }
 }
 
-impl HttpWorkloadSpec {
-    /// A small configuration for CI smoke runs.
+impl FleetWorkloadSpec {
+    /// A small 1×1 configuration for CI smoke runs.
     pub fn quick() -> Self {
         Self {
             spec: WorkloadSpec::quick(),
-            ttl: Some(Duration::from_millis(100)),
-            server: ServerConfig::default(),
-            target_qps: None,
-            slo: SloThresholds::default(),
+            ..Self::default()
         }
     }
 }
 
-/// What an HTTP workload observed.
+/// One group's share of a fleet run.
 #[derive(Debug, Clone)]
-pub struct HttpLoadReport {
-    /// Single-target requests issued by the client threads (each ends up
-    /// verified, torn, or an HTTP error; plan ops are counted in
-    /// [`Self::plan_ops`] and TTL-probe traffic in [`Self::probe_polls`]).
+pub struct GroupShare {
+    /// The group's ring name.
+    pub group: String,
+    /// Tenants the ring assigns to this group.
+    pub tenants: u64,
+    /// Single-target ops whose owner this group was.
     pub ops: u64,
-    /// Client responses verified byte-for-byte against their claimed
-    /// version.
+    /// The group primary's catalog counters at the end of the run.
+    pub catalog: CatalogStats,
+    /// The group primary's HTTP server counters at the end of the run.
+    pub server: ServerStats,
+}
+
+/// What a fleet workload observed.
+#[derive(Debug, Clone)]
+pub struct FleetLoadReport {
+    /// Replica groups on the ring.
+    pub groups: usize,
+    /// Serving replicas per group the fleet started with.
+    pub replicas: usize,
+    /// Single-target requests issued by the client threads.  Each ends
+    /// verified, torn, an HTTP error, shed, or unanswered.
+    pub ops: u64,
+    /// Single-target responses verified byte-for-byte against their
+    /// claimed version.
     pub verified: u64,
-    /// `POST /v1/query` plans issued by the client threads.
+    /// `POST /v1/query` glob plans issued by the client threads.
     pub plan_ops: u64,
-    /// Plan responses whose offline replay (registered sketches of every
-    /// claimed version, fused and re-rendered) matched byte-for-byte.
+    /// Plan responses whose offline replay (the unpartitioned-catalog
+    /// oracle) matched byte-for-byte.
     pub plan_verified: u64,
-    /// Responses (client or probe) that matched no complete published
+    /// Plan POSTs that died to a transport fault (one attempt, never
+    /// retried; expected only under chaos).
+    pub plan_unanswered: u64,
+    /// Responses (client, plan or probe) that matched no complete published
     /// version (must be 0).
     pub torn_reads: u64,
-    /// Non-200, non-503 responses observed (client or probe; must be 0).
+    /// 200s whose `x-opaq-owner` header named a group other than the ring's
+    /// owner for that tenant (must be 0).
+    pub mis_owned: u64,
+    /// Non-200, non-503 responses, plans and probe included.
     pub http_errors: u64,
-    /// Responses shed with 503 because the server's accept queue was full
-    /// (client, plan or probe).  Expected 0 below capacity; under open-loop
-    /// overload this is the server protecting itself, reported apart from
-    /// real errors.
+    /// 503s from a replica's bounded accept queue (load protection, kept
+    /// apart from real errors).
     pub sheds: u64,
+    /// Answers replayed from a group's degradation cache (stale but still
+    /// byte-verified).  Without chaos there is no outage to ride out, so
+    /// any replay means the fleet dropped a request.
+    pub degraded: u64,
+    /// Single-target ops for which the owning group had no answer *and*
+    /// nothing cached.  Counted as errors in [`Self::error_rate`].
+    pub unanswered: u64,
+    /// Versions published by the background refresher while clients ran.
+    pub refreshes_published: u64,
     /// Verified polls issued by the TTL watcher, including during the
     /// post-client grace window.
     pub probe_polls: u64,
-    /// Versions published by the background refresher while clients ran.
-    pub refreshes_published: u64,
     /// TTL probe: responses served past their `max_age` (`stale` or
     /// `refreshing`).
     pub non_fresh_served: u64,
-    /// TTL probe: version bumps that followed an observed expiry — i.e.
-    /// complete expiry→refresh→publish cycles seen over the wire.
+    /// TTL probe: version bumps that followed an observed expiry — complete
+    /// expiry→refresh→publish cycles seen over the wire.
     pub ttl_refreshes_observed: u64,
-    /// Connection-establishment failures across all client connections —
-    /// kept apart from [`Self::http_errors`] (a response with an error
-    /// status) so a chaos run's transport damage is diagnosable.
+    /// `wrong_owner` answers followed by a one-hop re-route to the owner.
+    pub reroutes: u64,
+    /// Preferred-replica switches, across all groups and clients.
+    pub failovers: u64,
+    /// Circuit-breaker open transitions, across all groups and clients.
+    pub breaker_opens: u64,
+    /// Catalog entries secondaries applied from their primaries.
+    pub sync_deltas_applied: u64,
+    /// Per-kind chaos tallies, summed over all proxies (`total()` is the
+    /// number of faults injected).
+    pub chaos: ChaosCounters,
+    /// Connection-establishment failures across all clients.
     pub connect_errors: u64,
     /// Requests that died to a read/connect deadline, across all clients.
     pub timeouts: u64,
-    /// Responses missing `x-opaq-trace-id`, or echoing a different id than
-    /// the one the client stamped on the request (must be 0 — *every*
-    /// response, including sheds and errors, carries the trace header).
-    pub trace_violations: u64,
-    /// Transparent reconnect-and-retry attempts across all clients (benign
-    /// keep-alive rollovers included).
+    /// Transparent reconnect-retries across all clients (benign keep-alive
+    /// rollovers included).
     pub retries: u64,
+    /// Responses missing `x-opaq-trace-id`, or echoing a different id than
+    /// the one the client stamped (must be 0 — a re-routed hop and a
+    /// degraded replay keep the caller's trace).
+    pub trace_violations: u64,
+    /// Replicas the chaos monkey shut down mid-run.
+    pub kills: u64,
+    /// Replicas the chaos monkey brought back (fresh port, re-bootstrap).
+    pub restarts: u64,
+    /// Per-group tenant/op balance and primary counters, in ring order.
+    pub shares: Vec<GroupShare>,
     /// Wall-clock time of the client phase.
     pub wall: Duration,
-    /// Client-observed (over-the-wire) latency distribution.
+    /// Client-observed latency distribution (from scheduled send times when
+    /// run open-loop).
     pub latency: LatencySnapshot,
-    /// Catalog counters at the end of the run.
-    pub catalog: CatalogStats,
-    /// HTTP server counters at the end of the run.
-    pub server: ServerStats,
     /// The offered rate the clients held, when run open-loop.
     pub target_qps: Option<f64>,
     /// Verdicts for the declared objectives (empty when none declared).
     pub slo: SloOutcome,
-    /// The server's slowest requests (trace id, duration, provenance),
-    /// pre-rendered from its slow log; empty when nothing was recorded.
+    /// The primaries' slowest requests (trace id, duration, provenance),
+    /// pre-rendered; empty when nothing was recorded.
     pub slow_log: String,
 }
 
-impl HttpLoadReport {
+impl FleetLoadReport {
     /// Client requests per second (single-target and plan ops) over the
     /// client phase.
     pub fn throughput(&self) -> f64 {
@@ -178,11 +263,12 @@ impl HttpLoadReport {
         ((self.ops + self.plan_ops) as f64).max(1.0)
     }
 
-    /// Fraction of requests answered with a non-200, non-503 status.
-    /// (Probe errors count in the numerator; probe traffic is tiny and must
-    /// be error-free in any passing run.)
+    /// Fraction of requests that failed: answered with a non-200, non-503
+    /// status, or not answered at all (single-target or plan).  (Probe
+    /// errors count in the numerator; probe traffic is tiny and must be
+    /// error-free in any passing run.)
     pub fn error_rate(&self) -> f64 {
-        self.http_errors as f64 / self.attempts()
+        (self.http_errors + self.unanswered + self.plan_unanswered) as f64 / self.attempts()
     }
 
     /// Fraction of requests shed with 503.
@@ -192,30 +278,63 @@ impl HttpLoadReport {
 
     /// Render the report as text.
     pub fn render(&self) -> String {
-        let mut out = render_latency_table(
-            "http client-observed latency",
-            &[("all".to_string(), self.latency)],
+        let mut out = format!(
+            "fleet: {} groups x {} replicas | kills {} | restarts {}\n",
+            self.groups, self.replicas, self.kills, self.restarts
         );
+        for share in &self.shares {
+            out.push_str(&format!(
+                "  {}: tenants {} | ops {}\n",
+                share.group, share.tenants, share.ops
+            ));
+        }
         out.push_str(&format!(
-            "ops {} | verified {} | plan ops {} | plan verified {} | torn {} | \
-             http errors {} | sheds {} | refreshes {} | probe polls {} | non-fresh {} | \
-             ttl refreshes observed {} | {:.0} ops/s\n",
+            "ops {} | verified {} | torn {} | mis-owned {} | plan ops {} | plan verified {} | \
+             plan unanswered {} | http errors {} | sheds {} | degraded {} | unanswered {} | \
+             refreshes {} | {:.0} ops/s\n",
             self.ops,
             self.verified,
+            self.torn_reads,
+            self.mis_owned,
             self.plan_ops,
             self.plan_verified,
-            self.torn_reads,
+            self.plan_unanswered,
             self.http_errors,
             self.sheds,
+            self.degraded,
+            self.unanswered,
             self.refreshes_published,
-            self.probe_polls,
-            self.non_fresh_served,
-            self.ttl_refreshes_observed,
             self.throughput()
         ));
         out.push_str(&format!(
-            "connect errors {} | timeouts {} | retries {} | trace violations {}\n",
+            "ttl probe: polls {} | non-fresh {} | ttl refreshes observed {}\n",
+            self.probe_polls, self.non_fresh_served, self.ttl_refreshes_observed
+        ));
+        out.push_str(&format!(
+            "reroutes {} | failovers {} | breaker opens {} | sync deltas applied {} | \
+             chaos faults injected {}\n",
+            self.reroutes,
+            self.failovers,
+            self.breaker_opens,
+            self.sync_deltas_applied,
+            self.chaos.total()
+        ));
+        out.push_str(&format!(
+            "chaos: drops {} | delays {} | truncates {} | resets {} | flaps {}\n",
+            self.chaos.drops,
+            self.chaos.delays,
+            self.chaos.truncates,
+            self.chaos.resets,
+            self.chaos.flaps
+        ));
+        out.push_str(&format!(
+            "client transport: connect errors {} | timeouts {} | retries {} | \
+             trace violations {}\n",
             self.connect_errors, self.timeouts, self.retries, self.trace_violations
+        ));
+        out.push_str(&render_latency_table(
+            "http client-observed latency",
+            &[("all".to_string(), self.latency)],
         ));
         if let Some(qps) = self.target_qps {
             out.push_str(&format!("target qps (open loop): {qps:.0}\n"));
@@ -227,16 +346,11 @@ impl HttpLoadReport {
 }
 
 /// `(tenant-name, version) -> the complete sketch of that version`,
-/// registered *before* the catalog publish.  Shared with the replica
-/// failover harness ([`crate::failover`]).
-pub(crate) type Registry = Arc<RwLock<HashMap<(String, u64), Arc<QuantileSketch<u64>>>>>;
+/// registered *before* the catalog publish.
+type Registry = Arc<RwLock<HashMap<(String, u64), Arc<QuantileSketch<u64>>>>>;
 
 /// Map a typed request to its HTTP form: `(target, optional JSON body)`.
-pub(crate) fn wire_form(
-    tenant: &str,
-    dataset: &str,
-    request: &QueryRequest,
-) -> (String, Option<String>) {
+fn wire_form(tenant: &str, dataset: &str, request: &QueryRequest) -> (String, Option<String>) {
     match request {
         QueryRequest::Quantile { phi } => {
             (format!("/v1/{tenant}/{dataset}/quantile?phi={phi}"), None)
@@ -247,69 +361,60 @@ pub(crate) fn wire_form(
             None,
         ),
         QueryRequest::QuantileBatch { phis } => {
-            let mut body = String::from("{\"phis\":[");
-            for (i, phi) in phis.iter().enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                body.push_str(&format!("{phi}"));
-            }
-            body.push_str("]}");
-            (format!("/v1/{tenant}/{dataset}/quantile_batch"), Some(body))
+            let phis: Vec<String> = phis.iter().map(|phi| format!("{phi}")).collect();
+            (
+                format!("/v1/{tenant}/{dataset}/quantile_batch"),
+                Some(format!("{{\"phis\":[{}]}}", phis.join(","))),
+            )
         }
     }
 }
 
-pub(crate) enum Verdict {
-    Verified {
-        version: u64,
-        freshness: Freshness,
-    },
+/// Why a response failed verification.
+enum Rejection {
+    /// Matched no complete published version.
     Torn,
     /// 503: the server's bounded queue shed the connection.  Load
     /// protection, not corruption — tracked apart from real errors.
     Shed,
+    /// Any other non-200 status.
     HttpError,
 }
 
-/// Plan responses verify against their full claimed provenance, not a
-/// single `(version, freshness)` pair, so their verdict carries no handle.
-pub(crate) enum PlanVerdict {
-    Verified,
-    Torn,
-    Shed,
-    HttpError,
+/// Sort a response by status: 200 passes, 503 is a shed, the rest errors.
+fn status_ok(response: &ClientResponse) -> Result<(), Rejection> {
+    match response.status {
+        200 => Ok(()),
+        503 => Err(Rejection::Shed),
+        _ => Err(Rejection::HttpError),
+    }
 }
 
 /// Re-render the expected body from the registered sketch of the claimed
-/// version and compare bytes.
-pub(crate) fn verify(
+/// version and compare bytes; the verified `(version, freshness)` handle on
+/// success.
+fn verify(
     tenant: &str,
     request: &QueryRequest,
-    response: &crate::client::ClientResponse,
+    response: &ClientResponse,
     registry: &Registry,
-) -> Verdict {
-    if response.status == 503 {
-        return Verdict::Shed;
-    }
-    if response.status != 200 {
-        return Verdict::HttpError;
-    }
-    let Some(version) = response
+) -> Result<(u64, Freshness), Rejection> {
+    status_ok(response)?;
+    let version = response
         .header(VERSION_HEADER)
         .and_then(|v| v.parse::<u64>().ok())
-    else {
-        return Verdict::Torn;
-    };
-    let Some(freshness) = response.header(FRESHNESS_HEADER).and_then(Freshness::parse) else {
-        return Verdict::Torn;
-    };
-    let Some(sketch) = registry.read().get(&(tenant.to_string(), version)).cloned() else {
-        return Verdict::Torn; // a version the refresher never registered
-    };
-    let Ok(output) = execute_on(&sketch, request) else {
-        return Verdict::Torn;
-    };
+        .ok_or(Rejection::Torn)?;
+    let freshness = response
+        .header(FRESHNESS_HEADER)
+        .and_then(Freshness::parse)
+        .ok_or(Rejection::Torn)?;
+    // A version the refresher never registered is torn.
+    let sketch = registry
+        .read()
+        .get(&(tenant.to_string(), version))
+        .cloned()
+        .ok_or(Rejection::Torn)?;
+    let output = execute_on(&sketch, request).map_err(|_| Rejection::Torn)?;
     let expected = render_response_json(&QueryResponse {
         output,
         version,
@@ -317,26 +422,15 @@ pub(crate) fn verify(
         freshness,
     });
     if expected.as_bytes() == response.body.as_slice() {
-        Verdict::Verified { version, freshness }
+        Ok((version, freshness))
     } else {
-        Verdict::Torn
-    }
-}
-
-/// `true` iff the response carries a well-formed `x-opaq-trace-id` — and,
-/// when the client stamped one on the request, the server echoed that exact
-/// id back rather than minting its own.
-pub(crate) fn trace_ok(response: &crate::client::ClientResponse, sent: Option<TraceId>) -> bool {
-    match (response.header(TRACE_HEADER).and_then(TraceId::parse), sent) {
-        (Some(echoed), Some(stamped)) => echoed == stamped,
-        (Some(_), None) => true,
-        (None, _) => false,
+        Err(Rejection::Torn)
     }
 }
 
 /// Pick a coalescing pipeline over every main tenant: the plan text to POST
 /// plus the typed extract the offline replay re-runs.
-pub(crate) fn plan_for(rng: &mut u64) -> (String, QueryRequest) {
+fn plan_for(rng: &mut u64) -> (String, QueryRequest) {
     let (extract, request) = match next_rand(rng) % 4 {
         0 => (
             "quantile 0.5".to_string(),
@@ -354,7 +448,7 @@ pub(crate) fn plan_for(rng: &mut u64) -> (String, QueryRequest) {
         }
         _ => ("profile 8".to_string(), QueryRequest::Profile { count: 8 }),
     };
-    // `tenant-*` matches every main tenant and not `ttl-probe`, so the
+    // `tenant-*` matches every main tenant and not the probe tenant, so the
     // expected source set is exactly the workload's tenant list.
     (
         format!("fetch tenant-*/events | coalesce | {extract}"),
@@ -371,33 +465,25 @@ pub(crate) fn plan_for(rng: &mut u64) -> (String, QueryRequest) {
 /// the same deterministic merge tree, re-running the extract, and
 /// re-rendering through [`render_plan_response_json`] must reproduce the
 /// body byte-for-byte.
-pub(crate) fn verify_plan(
+fn verify_plan(
     request: &QueryRequest,
-    response: &crate::client::ClientResponse,
+    response: &ClientResponse,
     registry: &Registry,
     expected: &[(String, String)],
-) -> PlanVerdict {
-    if response.status == 503 {
-        return PlanVerdict::Shed;
-    }
-    if response.status != 200 {
-        return PlanVerdict::HttpError;
-    }
-    let Ok(body) = std::str::from_utf8(&response.body) else {
-        return PlanVerdict::Torn;
-    };
-    let Ok(parsed) = Json::parse(body) else {
-        return PlanVerdict::Torn;
-    };
-    let Some(claimed) = parsed.get("sources").and_then(Json::as_array) else {
-        return PlanVerdict::Torn;
-    };
+) -> Result<(), Rejection> {
+    status_ok(response)?;
+    let body = std::str::from_utf8(&response.body).map_err(|_| Rejection::Torn)?;
+    let parsed = Json::parse(body).map_err(|_| Rejection::Torn)?;
+    let claimed = parsed
+        .get("sources")
+        .and_then(Json::as_array)
+        .ok_or(Rejection::Torn)?;
     if response
         .header(SOURCES_HEADER)
         .and_then(|v| v.parse::<usize>().ok())
         != Some(claimed.len())
     {
-        return PlanVerdict::Torn;
+        return Err(Rejection::Torn);
     }
     let mut sources = Vec::with_capacity(claimed.len());
     for entry in claimed {
@@ -410,7 +496,7 @@ pub(crate) fn verify_plan(
                 .and_then(Json::as_str)
                 .and_then(Freshness::parse),
         ) else {
-            return PlanVerdict::Torn;
+            return Err(Rejection::Torn);
         };
         sources.push(PlanSource {
             tenant: TenantId::new(tenant),
@@ -427,69 +513,325 @@ pub(crate) fn verify_plan(
             .zip(expected)
             .any(|(s, (t, d))| s.tenant.as_str() != t || s.dataset.as_str() != d)
     {
-        return PlanVerdict::Torn;
+        return Err(Rejection::Torn);
     }
     let mut sketches = Vec::with_capacity(sources.len());
     for source in &sources {
         let key = (source.tenant.to_string(), source.version);
-        let Some(sketch) = registry.read().get(&key).cloned() else {
-            return PlanVerdict::Torn; // a version the refresher never registered
-        };
-        sketches.push(sketch);
+        sketches.push(registry.read().get(&key).cloned().ok_or(Rejection::Torn)?);
     }
-    let Ok(fused) = merge_tree(&sketches) else {
-        return PlanVerdict::Torn;
-    };
-    let Ok(output) = execute_on(&fused, request) else {
-        return PlanVerdict::Torn;
-    };
+    let fused = merge_tree(&sketches).map_err(|_| Rejection::Torn)?;
+    let output = execute_on(&fused, request).map_err(|_| Rejection::Torn)?;
     let expected_body = render_plan_response_json(&PlanResponse {
         output,
         total_elements: fused.total_elements(),
         sources,
     });
     if expected_body.as_bytes() == response.body.as_slice() {
-        PlanVerdict::Verified
+        Ok(())
     } else {
-        PlanVerdict::Torn
+        Err(Rejection::Torn)
     }
 }
 
-/// Run `spec` end to end: stand the server up on a loopback port, hammer it
-/// with real HTTP clients, verify every byte, and tear everything down in
-/// order (server, refresh pool, catalog).
+/// The run's shared counters, bumped by every client, the watcher, the
+/// refresher and the monkey.
+#[derive(Default)]
+struct Tally {
+    ops: AtomicU64,
+    verified: AtomicU64,
+    plan_ops: AtomicU64,
+    plan_verified: AtomicU64,
+    plan_unanswered: AtomicU64,
+    torn: AtomicU64,
+    mis_owned: AtomicU64,
+    http_errors: AtomicU64,
+    sheds: AtomicU64,
+    degraded: AtomicU64,
+    unanswered: AtomicU64,
+    refreshes: AtomicU64,
+    probe_polls: AtomicU64,
+    non_fresh: AtomicU64,
+    ttl_bumps: AtomicU64,
+    connect_errors: AtomicU64,
+    timeouts: AtomicU64,
+    retries: AtomicU64,
+    trace_violations: AtomicU64,
+    kills: AtomicU64,
+    restarts: AtomicU64,
+}
+
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+fn load(counter: &AtomicU64) -> u64 {
+    counter.load(Ordering::Relaxed)
+}
+
+impl Tally {
+    /// Ops issued so far, plans included — the chaos monkey's clock.
+    fn progress(&self) -> u64 {
+        load(&self.ops) + load(&self.plan_ops)
+    }
+
+    /// Count a verification outcome: `verified` on success, the shared
+    /// torn/shed/error counters otherwise.
+    fn settle<T>(&self, verified: &AtomicU64, outcome: Result<T, Rejection>) {
+        bump(match outcome {
+            Ok(_) => verified,
+            Err(Rejection::Torn) => &self.torn,
+            Err(Rejection::Shed) => &self.sheds,
+            Err(Rejection::HttpError) => &self.http_errors,
+        });
+    }
+
+    /// Every response must carry a well-formed `x-opaq-trace-id` — and,
+    /// when the client stamped one, echo exactly that id.
+    fn check_trace(&self, response: &ClientResponse, sent: Option<TraceId>) {
+        let ok = match (response.header(TRACE_HEADER).and_then(TraceId::parse), sent) {
+            (Some(echoed), Some(stamped)) => echoed == stamped,
+            (Some(_), None) => true,
+            (None, _) => false,
+        };
+        if !ok {
+            bump(&self.trace_violations);
+        }
+    }
+
+    fn absorb(&self, stats: ClientStats) {
+        self.connect_errors
+            .fetch_add(stats.connect_errors, Ordering::Relaxed);
+        self.timeouts.fetch_add(stats.timeouts, Ordering::Relaxed);
+        self.retries.fetch_add(stats.retries, Ordering::Relaxed);
+    }
+}
+
+/// Client tuning for every group's [`crate::ReplicaSet`]: the default
+/// timeouts, with a short breaker cooldown and a frequent health probe so a
+/// chaos run shows the full open → half-open → closed arc inside one run.
+fn client_config() -> ReplicaConfig {
+    let mut config = ReplicaConfig::default();
+    config.breaker.cooldown = Duration::from_millis(150);
+    config.probe_interval = Duration::from_millis(20);
+    config
+}
+
+/// Poll `done` every millisecond until it holds (`true`), or until `stop`
+/// is raised or `deadline` passes (`false`).
+fn wait_for(done: impl Fn() -> bool, stop: &AtomicBool, deadline: Option<Instant>) -> bool {
+    loop {
+        if done() {
+            return true;
+        }
+        if stop.load(Ordering::Acquire) || deadline.is_some_and(|d| Instant::now() >= d) {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Record a failed thread's error (or panic) unless an earlier one is
+/// already held.
+fn note(first_error: &mut Option<NetError>, joined: std::thread::Result<NetResult<()>>, who: &str) {
+    let outcome = match joined {
+        Ok(Ok(())) => return,
+        Ok(Err(e)) => e,
+        Err(_) => NetError::Protocol(format!("{who} thread panicked")),
+    };
+    first_error.get_or_insert(outcome);
+}
+
+/// One running secondary: its HTTP server plus the delta poller keeping its
+/// catalog caught up.  The catalog/engine live on through the `Arc`s these
+/// two hold.
+struct SecondaryRuntime {
+    server: HttpServer,
+    replicator: Replicator,
+}
+
+impl SecondaryRuntime {
+    /// Poller first (it dials the primary), then the server.
+    fn shutdown(&mut self) {
+        self.replicator.shutdown();
+        self.server.shutdown();
+    }
+}
+
+/// Bootstrap a fresh catalog from the primary and stand a secondary up on
+/// an ephemeral port.  Returns the runtime and its serving address.
+fn start_secondary(
+    primary_addr: &str,
+    server_config: &ServerConfig,
+    stats: &Arc<ReplicationStats>,
+) -> NetResult<(SecondaryRuntime, String)> {
+    let catalog = Arc::new(SketchCatalog::unbounded());
+    bootstrap(&catalog, primary_addr, Some(stats), None)?;
+    let engine = Arc::new(QueryEngine::new(Arc::clone(&catalog)));
+    let server = HttpServer::start(engine, server_config.clone())?;
+    let addr = server.local_addr().to_string();
+    let replicator = Replicator::start(
+        catalog,
+        primary_addr.to_string(),
+        POLL,
+        Some(Arc::clone(stats)),
+        Some(Arc::clone(server.telemetry().recorder())),
+    );
+    Ok((SecondaryRuntime { server, replicator }, addr))
+}
+
+/// Bind a server on the exact reserved address, retrying briefly: the
+/// reservation listener was just dropped, so the only contention is another
+/// process landing on the port in the microseconds between.
+fn start_primary_on(engine: &Arc<QueryEngine>, config: &ServerConfig) -> NetResult<HttpServer> {
+    let mut last = None;
+    for _ in 0..50 {
+        match HttpServer::start(Arc::clone(engine), config.clone()) {
+            Ok(server) => return Ok(server),
+            Err(e) => {
+                last = Some(e);
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        }
+    }
+    Err(last.unwrap_or_else(|| NetError::InvalidConfig("primary bind retry exhausted".into())))
+}
+
+/// The probe tenant's sketch for `round` (0 seeds it; each refresh adds 1).
+fn probe_sketch(
+    spec: &WorkloadSpec,
+    config: OpaqConfig,
+    round: u64,
+) -> ServeResult<QuantileSketch<u64>> {
+    let mut inc = IncrementalOpaq::new(config)?;
+    let keys = spec.keys_per_tenant.min(20_000);
+    inc.add_run(chunk_spec(spec, usize::MAX / 2, round, keys).generate())?;
+    Ok(inc.into_sketch().ok_or(OpaqError::EmptyDataset)?)
+}
+
+/// Seed the probe tenant into `catalog` with a short `max_age` and a
+/// refresh hook that re-ingests through `pool`.  The builder registers the
+/// new version's sketch *before* returning it for publication, so the
+/// watcher can byte-verify across the refresh boundary.
+fn arm_ttl_probe(
+    catalog: &Arc<SketchCatalog>,
+    pool: &Arc<RefreshPool>,
+    registry: &Registry,
+    spec: &WorkloadSpec,
+    config: OpaqConfig,
+    ttl: Duration,
+) -> NetResult<()> {
+    let (tenant, dataset) = (TenantId::new(PROBE_TENANT), DatasetId::new("events"));
+    let sketch = probe_sketch(spec, config, 0)?;
+    registry
+        .write()
+        .insert((PROBE_TENANT.to_string(), 1), Arc::new(sketch.clone()));
+    catalog.publish(&tenant, &dataset, sketch)?;
+    catalog.set_ttl(&tenant, &dataset, Some(ttl))?;
+
+    let weak_pool = Arc::downgrade(pool);
+    let weak_catalog = Arc::downgrade(catalog);
+    let registry = Arc::clone(registry);
+    let rounds = Arc::new(AtomicU64::new(0));
+    let spec = spec.clone();
+    catalog.set_refresh_hook(Box::new(move |tenant, dataset| {
+        let Some(pool) = weak_pool.upgrade() else {
+            return false;
+        };
+        let (weak_catalog, registry) = (weak_catalog.clone(), Arc::clone(&registry));
+        let (rounds, spec) = (Arc::clone(&rounds), spec.clone());
+        let (job_tenant, job_dataset) = (tenant.clone(), dataset.clone());
+        pool.submit(tenant, dataset, move || {
+            let round = rounds.fetch_add(1, Ordering::Relaxed) + 1;
+            let sketch = probe_sketch(&spec, config, round)?;
+            // Only this pool refreshes the probe tenant, and the catalog
+            // fires at most one in-flight refresh per entry, so `current
+            // version + 1` is exactly what publish will assign.
+            if let Some(catalog) = weak_catalog.upgrade() {
+                let version = catalog.snapshot(&job_tenant, &job_dataset)?.version + 1;
+                registry.write().insert(
+                    (PROBE_TENANT.to_string(), version),
+                    Arc::new(sketch.clone()),
+                );
+            }
+            Ok(sketch)
+        })
+        .is_ok()
+    }));
+    Ok(())
+}
+
+/// Run `fleet_spec` end to end: stand the `groups × replicas` fleet up on
+/// loopback ports, drive ring-routed clients (plus the TTL watcher and the
+/// chaos monkey when enabled), verify every byte, and tear everything down
+/// in order (secondaries, proxies, primaries, refresh pool).
 ///
 /// # Errors
-/// Configuration, socket and serving-layer errors.  Torn reads and HTTP
-/// error statuses are *reported*, not errors — the caller decides whether
-/// non-zero is fatal.
-pub fn run_http_workload(http_spec: &HttpWorkloadSpec) -> NetResult<HttpLoadReport> {
-    let spec = &http_spec.spec;
+/// Configuration, socket and serving-layer errors.  Torn reads, mis-owned
+/// answers, HTTP error statuses and unanswered ops are *reported*, not
+/// errors — the caller decides whether non-zero is fatal.
+#[allow(clippy::too_many_lines)]
+pub fn run_fleet_workload(fleet_spec: &FleetWorkloadSpec) -> NetResult<FleetLoadReport> {
+    let spec = &fleet_spec.spec;
+    let invalid = |msg: &str| Err(NetError::InvalidConfig(msg.to_string()));
     if spec.tenants == 0 || spec.clients == 0 || spec.ops_per_client == 0 {
-        return Err(NetError::InvalidConfig(
-            "a workload needs at least one tenant, one client and one op".into(),
-        ));
+        return invalid("a workload needs at least one tenant, one client and one op");
     }
-    if let Some(qps) = http_spec.target_qps {
-        if !qps.is_finite() || qps <= 0.0 {
-            return Err(NetError::InvalidConfig(format!(
-                "target_qps must be positive and finite, got {qps}"
-            )));
-        }
+    if fleet_spec.groups == 0 || fleet_spec.replicas == 0 {
+        return invalid("a fleet needs at least one group and one replica per group");
+    }
+    if fleet_spec.chaos.is_some() && fleet_spec.replicas < 2 {
+        return invalid("chaos kills and restarts a secondary: it needs at least 2 replicas");
+    }
+    if spec
+        .target_qps
+        .is_some_and(|qps| !qps.is_finite() || qps <= 0.0)
+    {
+        return invalid("target_qps must be positive and finite");
     }
     let config = OpaqConfig::builder()
         .run_length(spec.run_length)
         .sample_size(spec.sample_size.min(spec.run_length))
         .build()
-        .map_err(opaq_serve::ServeError::from)?;
+        .map_err(ServeError::from)?;
 
-    let catalog = Arc::new(SketchCatalog::unbounded());
-    let engine = Arc::new(QueryEngine::new(Arc::clone(&catalog)));
-    // Arm the server-side breach counter with the declared p99 so
-    // `opaq_slo_breaches` in `/metrics` tracks the same objective the
-    // client-side verdicts use.
-    engine.set_slo_threshold(http_spec.slo.p99);
+    // The ring must exist before any server starts (every server loads it),
+    // and must carry real addresses (the scatter hook dials them) — so the
+    // primaries' ports are reserved up front.
+    let mut reserved = (0..fleet_spec.groups)
+        .map(|_| {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
+            let addr = listener.local_addr()?.to_string();
+            Ok((listener, addr))
+        })
+        .collect::<NetResult<Vec<_>>>()?;
+    let ring = Arc::new(HashRing::new(RingConfig {
+        vnodes: fleet_spec.vnodes,
+        groups: reserved
+            .iter()
+            .enumerate()
+            .map(|(g, (_, addr))| GroupConfig {
+                name: format!("group-{g}"),
+                addrs: vec![addr.clone()],
+            })
+            .collect(),
+    })?);
+
+    let stats = ReplicationStats::new();
     let registry: Registry = Arc::new(RwLock::new(HashMap::new()));
+    let catalogs: Vec<Arc<SketchCatalog>> = (0..fleet_spec.groups)
+        .map(|_| Arc::new(SketchCatalog::unbounded()))
+        .collect();
+    let engines: Vec<Arc<QueryEngine>> = catalogs
+        .iter()
+        .map(|c| {
+            let engine = Arc::new(QueryEngine::new(Arc::clone(c)));
+            // Arm the server-side breach counter with the declared p99 so
+            // `opaq_slo_breaches` tracks the objective the verdicts use.
+            engine.set_slo_threshold(fleet_spec.slo.p99);
+            engine
+        })
+        .collect();
 
     let ids: Vec<(TenantId, DatasetId)> = (0..spec.tenants)
         .map(|i| {
@@ -499,99 +841,127 @@ pub fn run_http_workload(http_spec: &HttpWorkloadSpec) -> NetResult<HttpLoadRepo
             )
         })
         .collect();
+    let owners: Vec<usize> = ids
+        .iter()
+        .map(|(tenant, _)| ring.owner_index(tenant.as_str()))
+        .collect();
 
-    // Initial version per tenant; the refresher keeps folding new runs in.
+    // Seed version 1 of every tenant into its *owning* group only —
+    // ring-scoped ingest.  `chunk_spec` derives tenant data purely from
+    // `(seed, tenant_idx, round)`, so an unpartitioned oracle catalog would
+    // hold exactly these bytes, which is what makes the plan replay a true
+    // single-catalog oracle.
     let mut incrementals = Vec::with_capacity(spec.tenants);
     for (tenant_idx, (tenant, dataset)) in ids.iter().enumerate() {
-        let mut inc = IncrementalOpaq::new(config).map_err(opaq_serve::ServeError::from)?;
+        let mut inc = IncrementalOpaq::new(config).map_err(ServeError::from)?;
         inc.add_run(chunk_spec(spec, tenant_idx, 0, spec.keys_per_tenant).generate())
-            .map_err(opaq_serve::ServeError::from)?;
+            .map_err(ServeError::from)?;
         let sketch = inc.sketch().expect("just added a run").clone();
         registry
             .write()
             .insert((tenant.to_string(), 1), Arc::new(sketch.clone()));
-        catalog.publish(tenant, dataset, sketch)?;
+        catalogs[owners[tenant_idx]].publish(tenant, dataset, sketch)?;
         incrementals.push(inc);
     }
 
-    // The TTL probe tenant: short max_age + a refresh hook that re-ingests
-    // through a real RefreshPool.  The builder registers the new version's
-    // sketch *before* returning it for publication, so the watcher can
-    // byte-verify across the refresh boundary.
-    let pool = Arc::new(RefreshPool::new(Arc::clone(&catalog), 1)?);
-    let ttl_tenant = TenantId::new("ttl-probe");
-    let ttl_dataset = DatasetId::new("events");
-    if let Some(ttl) = http_spec.ttl {
-        let mut inc = IncrementalOpaq::new(config).map_err(opaq_serve::ServeError::from)?;
-        inc.add_run(
-            chunk_spec(spec, usize::MAX / 2, 0, spec.keys_per_tenant.min(20_000)).generate(),
-        )
-        .map_err(opaq_serve::ServeError::from)?;
-        let sketch = inc.into_sketch().ok_or(opaq_serve::ServeError::Opaq(
-            opaq_core::OpaqError::EmptyDataset,
-        ))?;
-        registry
-            .write()
-            .insert((ttl_tenant.to_string(), 1), Arc::new(sketch.clone()));
-        catalog.publish(&ttl_tenant, &ttl_dataset, sketch)?;
-        catalog.set_ttl(&ttl_tenant, &ttl_dataset, Some(ttl))?;
-
-        let weak_pool = Arc::downgrade(&pool);
-        let weak_catalog = Arc::downgrade(&catalog);
-        let hook_registry = Arc::clone(&registry);
-        let rounds = Arc::new(AtomicU64::new(0));
-        let hook_spec = spec.clone();
-        catalog.set_refresh_hook(Box::new(move |tenant, dataset| {
-            let Some(pool) = weak_pool.upgrade() else {
-                return false;
-            };
-            let weak_catalog = weak_catalog.clone();
-            let registry = Arc::clone(&hook_registry);
-            let rounds = Arc::clone(&rounds);
-            let hook_spec = hook_spec.clone();
-            let tenant_name = tenant.to_string();
-            let (tenant, dataset) = (tenant.clone(), dataset.clone());
-            let (submit_tenant, submit_dataset) = (tenant.clone(), dataset.clone());
-            pool.submit(&submit_tenant, &submit_dataset, move || {
-                let round = rounds.fetch_add(1, Ordering::Relaxed) + 1;
-                let mut inc = IncrementalOpaq::new(config)?;
-                inc.add_run(
-                    chunk_spec(
-                        &hook_spec,
-                        usize::MAX / 2,
-                        round,
-                        hook_spec.keys_per_tenant.min(20_000),
-                    )
-                    .generate(),
-                )?;
-                let sketch = inc.into_sketch().ok_or(opaq_serve::ServeError::Opaq(
-                    opaq_core::OpaqError::EmptyDataset,
-                ))?;
-                // Only this pool refreshes the probe tenant, and the
-                // catalog fires at most one in-flight refresh per entry, so
-                // `current version + 1` is exactly what publish will assign.
-                if let Some(catalog) = weak_catalog.upgrade() {
-                    let version = catalog.snapshot(&tenant, &dataset)?.version + 1;
-                    registry
-                        .write()
-                        .insert((tenant_name.clone(), version), Arc::new(sketch.clone()));
-                }
-                Ok(sketch)
-            })
-            .is_ok()
-        }));
+    let probe_owner = ring.owner_index(PROBE_TENANT);
+    let pool = Arc::new(RefreshPool::new(Arc::clone(&catalogs[probe_owner]), 1)?);
+    if let Some(ttl) = fleet_spec.ttl {
+        arm_ttl_probe(&catalogs[probe_owner], &pool, &registry, spec, config, ttl)?;
     }
 
-    // Thread-per-connection: every client (plus the TTL watcher) holds one
-    // keep-alive connection for the whole run, so the worker pool must be at
-    // least that wide or late connections would starve in the accept queue.
-    let mut server_config = http_spec.server.clone();
-    server_config.workers = server_config.workers.max(spec.clients + 2);
-    let mut server = HttpServer::start(Arc::clone(&engine), server_config)?;
-    let addr = server.local_addr().to_string();
+    // Thread-per-connection workers, sized for every connection a server
+    // can hold at once: one keep-alive connection per client, one transient
+    // scatter connection per client from peer coordinators (G ≥ 2), the
+    // secondaries' pollers and the TTL watcher on a primary, and under
+    // chaos the monkey's re-bootstrap plus one connection a fault left
+    // half-open.  1×1 comes to `clients + 2`.
+    let defaults = ServerConfig::default();
+    let scatter = usize::from(fleet_spec.groups > 1);
+    let chaos_slack = 2 * usize::from(fleet_spec.chaos.is_some());
+    let server_config = ServerConfig {
+        workers: defaults
+            .workers
+            .max(spec.clients * (1 + scatter) + fleet_spec.replicas + 1 + chaos_slack),
+        replication: Some(Arc::clone(&stats)),
+        ..defaults
+    };
+    let group_configs = ring
+        .groups()
+        .iter()
+        .map(|group| {
+            let mut cfg = server_config.clone();
+            cfg.ring = Some(Arc::new(RingMembership::new((*ring).clone(), &group.name)?));
+            Ok(cfg)
+        })
+        .collect::<NetResult<Vec<_>>>()?;
 
-    // Offline-replay target for plan ops: the glob fans out over every main
-    // tenant, and the executor reports sources in sorted key order.
+    // Primaries take their reserved ports (reservation dropped just before
+    // the bind), then each group's secondaries bootstrap off them.
+    let mut primaries = Vec::with_capacity(fleet_spec.groups);
+    for (engine, cfg) in engines.iter().zip(&group_configs) {
+        let (listener, addr) = reserved.remove(0);
+        drop(listener);
+        let mut cfg = cfg.clone();
+        cfg.addr = addr;
+        primaries.push(start_primary_on(engine, &cfg)?);
+    }
+    let primary_addrs: Vec<String> = primaries
+        .iter()
+        .map(|p| p.local_addr().to_string())
+        .collect();
+
+    let mut secondaries: Vec<Vec<SecondaryRuntime>> = Vec::with_capacity(fleet_spec.groups);
+    let mut serving_addrs: Vec<Vec<String>> = Vec::with_capacity(fleet_spec.groups);
+    for (primary_addr, cfg) in primary_addrs.iter().zip(&group_configs) {
+        let mut group_secondaries = Vec::new();
+        let mut group_serving = Vec::new();
+        for _ in 1..fleet_spec.replicas {
+            let (runtime, addr) = start_secondary(primary_addr, cfg, &stats)?;
+            group_secondaries.push(runtime);
+            group_serving.push(addr);
+        }
+        // The first secondary leads the routing order, so sticky clients
+        // prefer the replica the monkey will kill (group 0); the primary
+        // anchors the tail as the always-up fallback.
+        group_serving.push(primary_addr.clone());
+        secondaries.push(group_secondaries);
+        serving_addrs.push(group_serving);
+    }
+
+    // Chaos: clients dial a fault-injecting proxy per replica, which the
+    // monkey also repoints at the victim's replacement.
+    let mut proxies: Vec<Vec<ChaosProxy>> = Vec::with_capacity(fleet_spec.groups);
+    let mut client_addrs = serving_addrs.clone();
+    if let Some(chaos) = &fleet_spec.chaos {
+        for (g, group) in client_addrs.iter_mut().enumerate() {
+            let mut group_proxies = Vec::with_capacity(group.len());
+            for (i, addr) in group.iter_mut().enumerate() {
+                let proxy = ChaosProxy::start(
+                    addr.clone(),
+                    ChaosConfig {
+                        seed: chaos.seed.wrapping_add(0x9e37 * ((g * 64 + i) as u64 + 1)),
+                        ..chaos.clone()
+                    },
+                    Some(Arc::clone(&stats)),
+                )?;
+                *addr = proxy.local_addr().to_string();
+                group_proxies.push(proxy);
+            }
+            proxies.push(group_proxies);
+        }
+    }
+    let victim = fleet_spec.chaos.as_ref().map(|_| secondaries[0].remove(0));
+    // Clients hold before this op index until the monkey's outage has been
+    // seen; the 25% kill trigger is always reached before every client
+    // holds.
+    let hold_at = victim.as_ref().map(|_| spec.ops_per_client.div_ceil(2));
+    // Health probes feed the breakers of replicas sticky routing has moved
+    // away from; a group of one has nothing to fail over to.
+    let probing = fleet_spec.replicas > 1;
+
+    // Offline-replay target for plan ops: every main tenant, sorted key
+    // order — exactly what an unpartitioned catalog would report.
     let mut expected_sources: Vec<(String, String)> = ids
         .iter()
         .map(|(t, d)| (t.to_string(), d.to_string()))
@@ -599,39 +969,23 @@ pub fn run_http_workload(http_spec: &HttpWorkloadSpec) -> NetResult<HttpLoadRepo
     expected_sources.sort();
     let expected_sources = &expected_sources;
 
-    let torn = AtomicU64::new(0);
-    let verified = AtomicU64::new(0);
-    let http_errors = AtomicU64::new(0);
-    let shed = AtomicU64::new(0);
-    let plan_ops = AtomicU64::new(0);
-    let plan_verified = AtomicU64::new(0);
-    let plan_torn = AtomicU64::new(0);
-    let plan_errors = AtomicU64::new(0);
-    let plan_shed = AtomicU64::new(0);
-    let probe_polls = AtomicU64::new(0);
-    let probe_torn = AtomicU64::new(0);
-    let probe_errors = AtomicU64::new(0);
-    let probe_shed = AtomicU64::new(0);
-    let refreshes = AtomicU64::new(0);
-    let non_fresh = AtomicU64::new(0);
-    let ttl_bumps = AtomicU64::new(0);
-    let stop_watcher = AtomicBool::new(false);
-    let connect_errors = AtomicU64::new(0);
-    let timeouts = AtomicU64::new(0);
-    let retries = AtomicU64::new(0);
-    let trace_violations = AtomicU64::new(0);
+    let total_ops = spec.ops_per_client * spec.clients as u64;
+    let tally = Tally::default();
+    let group_ops: Vec<AtomicU64> = (0..fleet_spec.groups).map(|_| AtomicU64::new(0)).collect();
+    let stop = AtomicBool::new(false);
+    let outage_seen = AtomicBool::new(false);
     let latency = LatencyHistogram::new();
     let client_phase_nanos = AtomicU64::new(0);
     let start = Instant::now();
 
-    std::thread::scope(|scope| -> NetResult<()> {
-        // Background refresher over the main tenants (in-process publishes,
-        // registered first — exactly the in-process harness discipline).
+    let run_result = std::thread::scope(|scope| -> NetResult<()> {
+        // Background refresher: new versions land on each tenant's owning
+        // primary (registered first); that group's secondaries catch up via
+        // their pollers, and a lagging replica still serves a registered —
+        // hence verifiable — version.
         let refresher = {
-            let catalog = Arc::clone(&catalog);
+            let (catalogs, owners, ids, tally) = (&catalogs, &owners, &ids, &tally);
             let registry = Arc::clone(&registry);
-            let ids = &ids;
-            let refreshes = &refreshes;
             scope.spawn(move || -> NetResult<()> {
                 for round in 1..=spec.refresh_rounds {
                     for (tenant_idx, (tenant, dataset)) in ids.iter().enumerate() {
@@ -639,13 +993,13 @@ pub fn run_http_workload(http_spec: &HttpWorkloadSpec) -> NetResult<HttpLoadRepo
                             chunk_spec(spec, tenant_idx, round, (spec.keys_per_tenant / 4).max(1))
                                 .generate();
                         let inc = &mut incrementals[tenant_idx];
-                        inc.add_run(chunk).map_err(opaq_serve::ServeError::from)?;
+                        inc.add_run(chunk).map_err(ServeError::from)?;
                         let sketch = inc.sketch().expect("non-empty").clone();
                         registry
                             .write()
                             .insert((tenant.to_string(), round + 1), Arc::new(sketch.clone()));
-                        catalog.publish(tenant, dataset, sketch)?;
-                        refreshes.fetch_add(1, Ordering::Relaxed);
+                        catalogs[owners[tenant_idx]].publish(tenant, dataset, sketch)?;
+                        bump(&tally.refreshes);
                         std::thread::sleep(Duration::from_micros(300));
                     }
                 }
@@ -653,73 +1007,98 @@ pub fn run_http_workload(http_spec: &HttpWorkloadSpec) -> NetResult<HttpLoadRepo
             })
         };
 
-        // TTL watcher: poll the probe tenant over HTTP, byte-verify, and
-        // record the expiry→refresh→publish cycles it can see on the wire.
-        let watcher = http_spec.ttl.map(|ttl| {
-            let addr = addr.clone();
+        // TTL watcher: poll the probe tenant on its owning primary, byte-
+        // verify, and record the expiry→refresh→publish cycles on the wire.
+        let watcher = fleet_spec.ttl.map(|ttl| {
+            let addr = primary_addrs[probe_owner].clone();
             let registry = Arc::clone(&registry);
-            let ttl_tenant = ttl_tenant.to_string();
-            let (probe_torn, probe_polls, probe_errors, probe_shed) =
-                (&probe_torn, &probe_polls, &probe_errors, &probe_shed);
-            let (non_fresh, ttl_bumps, stop_watcher) = (&non_fresh, &ttl_bumps, &stop_watcher);
-            let (connect_errors, timeouts, retries) = (&connect_errors, &timeouts, &retries);
-            let trace_violations = &trace_violations;
+            let (tally, stop) = (&tally, &stop);
             scope.spawn(move || -> NetResult<()> {
                 let mut client = HttpClient::new(addr);
                 let request = QueryRequest::Quantile { phi: 0.5 };
-                let (target, _) = wire_form(&ttl_tenant, "events", &request);
-                let mut last: Option<(u64, Freshness)> = None;
+                let (target, _) = wire_form(PROBE_TENANT, "events", &request);
+                let mut last_version: Option<u64> = None;
                 let mut expiry_seen_at: Option<u64> = None;
-                let mut body = || -> NetResult<()> {
-                    while !stop_watcher.load(Ordering::Acquire) {
+                let mut poll = || -> NetResult<()> {
+                    while !stop.load(Ordering::Acquire) {
                         let response = client.get(&target)?;
                         // The watcher never stamps a trace, so this checks
                         // the server's front-door minting path.
-                        if !trace_ok(&response, None) {
-                            trace_violations.fetch_add(1, Ordering::Relaxed);
+                        tally.check_trace(&response, None);
+                        let outcome = verify(PROBE_TENANT, &request, &response, &registry);
+                        if let Ok((version, freshness)) = outcome {
+                            if freshness != Freshness::Fresh {
+                                bump(&tally.non_fresh);
+                                expiry_seen_at = Some(version);
+                            }
+                            // A full cycle: expiry observed at an old
+                            // version, then a newer one landed.
+                            if expiry_seen_at.is_some_and(|expired| version > expired)
+                                && last_version.is_some_and(|last| version > last)
+                            {
+                                bump(&tally.ttl_bumps);
+                                expiry_seen_at = None;
+                            }
+                            last_version = Some(version);
                         }
-                        match verify(&ttl_tenant, &request, &response, &registry) {
-                            Verdict::Verified { version, freshness } => {
-                                // Probe traffic is verified like everything else
-                                // but tracked apart from client ops, so reported
-                                // throughput stays a pure client-phase number.
-                                probe_polls.fetch_add(1, Ordering::Relaxed);
-                                if freshness != Freshness::Fresh {
-                                    non_fresh.fetch_add(1, Ordering::Relaxed);
-                                    expiry_seen_at = Some(version);
-                                }
-                                if let (Some(expired_version), Some((last_version, _))) =
-                                    (expiry_seen_at, last)
-                                {
-                                    if version > last_version && version > expired_version {
-                                        // A full cycle: expiry observed at the
-                                        // old version, then a newer one landed.
-                                        ttl_bumps.fetch_add(1, Ordering::Relaxed);
-                                        expiry_seen_at = None;
-                                    }
-                                }
-                                last = Some((version, freshness));
-                            }
-                            Verdict::Torn => {
-                                probe_torn.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Verdict::Shed => {
-                                probe_shed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Verdict::HttpError => {
-                                probe_errors.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
+                        tally.settle(&tally.probe_polls, outcome);
                         std::thread::sleep(ttl / 4);
                     }
                     Ok(())
                 };
-                let result = body();
-                let stats = client.stats();
-                connect_errors.fetch_add(stats.connect_errors, Ordering::Relaxed);
-                timeouts.fetch_add(stats.timeouts, Ordering::Relaxed);
-                retries.fetch_add(stats.retries, Ordering::Relaxed);
+                let result = poll();
+                tally.absorb(client.stats());
                 result
+            })
+        });
+
+        // Chaos monkey: kill group 0's preferred secondary at ~25% of the
+        // run (a progress trigger, so "mid-run" holds at any machine speed),
+        // wait until some client's breaker for it has opened, then restart
+        // it: fresh port, fresh bootstrap, proxy repoint.
+        let monkey = victim.map(|mut victim| {
+            let stats = Arc::clone(&stats);
+            let primary_addr = primary_addrs[0].clone();
+            let group_config = group_configs[0].clone();
+            let victim_proxy = &proxies[0][0];
+            let (tally, stop, outage_seen) = (&tally, &stop, &outage_seen);
+            scope.spawn(move || -> NetResult<()> {
+                let reached = wait_for(|| tally.progress() >= total_ops / 4, stop, None);
+                victim.shutdown();
+                if reached {
+                    bump(&tally.kills);
+                    let open = (
+                        victim_proxy.local_addr().to_string(),
+                        BreakerState::Open.as_gauge(),
+                    );
+                    let seen = || stats.breaker_states().contains(&open);
+                    wait_for(seen, stop, Some(Instant::now() + OUTAGE_DEADLINE));
+                }
+                outage_seen.store(true, Ordering::Release);
+                if !reached {
+                    return Ok(());
+                }
+                let mut attempts = 0u32;
+                let (mut replacement, addr) = loop {
+                    match start_secondary(&primary_addr, &group_config, &stats) {
+                        Ok(started) => break started,
+                        Err(e) => {
+                            attempts += 1;
+                            if attempts > 100 {
+                                return Err(e);
+                            }
+                            std::thread::sleep(Duration::from_millis(20));
+                            if stop.load(Ordering::Acquire) {
+                                return Ok(());
+                            }
+                        }
+                    }
+                };
+                victim_proxy.set_upstream(addr);
+                bump(&tally.restarts);
+                wait_for(|| false, stop, None);
+                replacement.shutdown();
+                Ok(())
             })
         });
 
@@ -730,138 +1109,130 @@ pub fn run_http_workload(http_spec: &HttpWorkloadSpec) -> NetResult<HttpLoadRepo
         // from its *scheduled* send time — an op delayed behind a slow
         // predecessor accrues that queueing delay in the recorded
         // distribution (coordinated-omission-safe).
-        let interval = http_spec
+        let interval = spec
             .target_qps
             .map(|qps| Duration::from_secs_f64(spec.clients as f64 / qps));
         let mut clients = Vec::with_capacity(spec.clients);
         for client_idx in 0..spec.clients {
-            let addr = addr.clone();
+            let ring = Arc::clone(&ring);
+            let stats = Arc::clone(&stats);
             let registry = Arc::clone(&registry);
-            let ids = &ids;
-            let (torn, verified, http_errors, shed) = (&torn, &verified, &http_errors, &shed);
-            let (plan_ops, plan_verified, plan_torn, plan_errors, plan_shed) = (
-                &plan_ops,
-                &plan_verified,
-                &plan_torn,
-                &plan_errors,
-                &plan_shed,
-            );
-            let latency = &latency;
-            let (connect_errors, timeouts, retries) = (&connect_errors, &timeouts, &retries);
-            let trace_violations = &trace_violations;
+            let (client_addrs, ids, owners) = (&client_addrs, &ids, &owners);
+            let (tally, group_ops, latency, outage_seen) =
+                (&tally, &group_ops, &latency, &outage_seen);
             clients.push(scope.spawn(move || -> NetResult<()> {
-                let mut client = HttpClient::new(addr);
+                let mut fleet =
+                    RoutedFleet::new(ring, client_addrs, &client_config())?.with_stats(stats);
                 let mut rng = spec
                     .seed
                     .wrapping_add(0x9e3779b97f4a7c15u64.wrapping_mul(client_idx as u64 + 1));
-                let stagger = interval
+                let mut stagger = interval
                     .map(|iv| iv.mul_f64(client_idx as f64 / spec.clients as f64))
                     .unwrap_or(Duration::ZERO);
-                let mut body = || -> NetResult<()> {
-                    for op_idx in 0..spec.ops_per_client {
-                        // `sent` is the scheduled time in open-loop mode, the
-                        // actual send time in closed-loop mode.
-                        let sent = match interval {
-                            Some(iv) => {
-                                let scheduled = start + stagger + iv.mul_f64(op_idx as f64);
-                                if let Some(wait) = scheduled.checked_duration_since(Instant::now())
-                                {
-                                    std::thread::sleep(wait);
-                                }
-                                scheduled
-                            }
-                            None => Instant::now(),
-                        };
-                        // Every op stamps a fresh trace id; the server must
-                        // echo it back on the response — the propagation
-                        // contract failover hops and sync pulls rely on.
-                        let stamped = TraceId::mint();
-                        client.set_trace_id(Some(stamped));
-                        // Every fifth op is a coalescing pipeline over all main
-                        // tenants; the rest are single-target requests.
-                        if op_idx % 5 == 4 {
-                            let (plan, request) = plan_for(&mut rng);
-                            let mut body = String::from("{\"plan\":");
-                            write_escaped(&mut body, &plan);
-                            body.push('}');
-                            let response = client.post_json("/v1/query", &body)?;
-                            latency.record(sent.elapsed());
-                            plan_ops.fetch_add(1, Ordering::Relaxed);
-                            if !trace_ok(&response, Some(stamped)) {
-                                trace_violations.fetch_add(1, Ordering::Relaxed);
-                            }
-                            match verify_plan(&request, &response, &registry, expected_sources) {
-                                PlanVerdict::Verified => {
-                                    plan_verified.fetch_add(1, Ordering::Relaxed);
-                                }
-                                PlanVerdict::Torn => {
-                                    plan_torn.fetch_add(1, Ordering::Relaxed);
-                                }
-                                PlanVerdict::Shed => {
-                                    plan_shed.fetch_add(1, Ordering::Relaxed);
-                                }
-                                PlanVerdict::HttpError => {
-                                    plan_errors.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                            continue;
+                for op_idx in 0..spec.ops_per_client {
+                    if hold_at == Some(op_idx) {
+                        // Keep probing while held: that is what opens the
+                        // victim's breaker.
+                        let held_from = Instant::now();
+                        let deadline = held_from + OUTAGE_DEADLINE;
+                        // The hold is the harness's pause, not the fleet's
+                        // latency: whatever of it runs past this op's
+                        // scheduled send time moves the rest of the
+                        // schedule along.
+                        let due = interval
+                            .map_or(held_from, |iv| start + stagger + iv.mul_f64(op_idx as f64));
+                        while !outage_seen.load(Ordering::Acquire) && Instant::now() < deadline {
+                            fleet.maybe_probe();
+                            std::thread::sleep(Duration::from_millis(1));
                         }
-                        let tenant_idx = (next_rand(&mut rng) % spec.tenants as u64) as usize;
-                        let (tenant, dataset) = &ids[tenant_idx];
-                        let request = request_for(&mut rng);
-                        let (target, body) = wire_form(tenant.as_str(), dataset.as_str(), &request);
-                        let response = match &body {
-                            Some(body) => client.post_json(&target, body)?,
-                            None => client.get(&target)?,
-                        };
-                        latency.record(sent.elapsed());
-                        if !trace_ok(&response, Some(stamped)) {
-                            trace_violations.fetch_add(1, Ordering::Relaxed);
-                        }
-                        match verify(tenant.as_str(), &request, &response, &registry) {
-                            Verdict::Verified { .. } => {
-                                verified.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Verdict::Torn => {
-                                torn.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Verdict::Shed => {
-                                shed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Verdict::HttpError => {
-                                http_errors.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
+                        stagger += Instant::now().saturating_duration_since(due.max(held_from));
                     }
-                    Ok(())
-                };
-                let result = body();
-                let stats = client.stats();
-                connect_errors.fetch_add(stats.connect_errors, Ordering::Relaxed);
-                timeouts.fetch_add(stats.timeouts, Ordering::Relaxed);
-                retries.fetch_add(stats.retries, Ordering::Relaxed);
-                result
+                    // `sent` is the scheduled time in open-loop mode, the
+                    // actual send time in closed-loop mode.
+                    let sent = match interval {
+                        Some(iv) => {
+                            let scheduled = start + stagger + iv.mul_f64(op_idx as f64);
+                            if let Some(wait) = scheduled.checked_duration_since(Instant::now()) {
+                                std::thread::sleep(wait);
+                            }
+                            scheduled
+                        }
+                        None => Instant::now(),
+                    };
+                    if probing {
+                        fleet.maybe_probe();
+                    }
+                    // Every op stamps a fresh trace id; the server must echo
+                    // it back, across re-routed hops and degraded replays.
+                    let stamped = TraceId::mint();
+                    fleet.set_trace_id(Some(stamped));
+                    if op_idx % 5 == 4 {
+                        bump(&tally.plan_ops);
+                        let (plan, request) = plan_for(&mut rng);
+                        let mut body = String::from("{\"plan\":");
+                        write_escaped(&mut body, &plan);
+                        body.push('}');
+                        match fleet.post_plan(&body) {
+                            Ok(answer) => {
+                                latency.record(sent.elapsed());
+                                tally.check_trace(&answer.response, Some(stamped));
+                                let outcome = verify_plan(
+                                    &request,
+                                    &answer.response,
+                                    &registry,
+                                    expected_sources,
+                                );
+                                tally.settle(&tally.plan_verified, outcome);
+                            }
+                            // Plan POSTs are single-attempt by design; a
+                            // fault mid-flight is an honest "no answer".
+                            Err(_) => bump(&tally.plan_unanswered),
+                        }
+                        continue;
+                    }
+                    bump(&tally.ops);
+                    let tenant_idx = (next_rand(&mut rng) % spec.tenants as u64) as usize;
+                    let (tenant, dataset) = &ids[tenant_idx];
+                    let owner = owners[tenant_idx];
+                    bump(&group_ops[owner]);
+                    let request = request_for(&mut rng);
+                    let (target, post) = wire_form(tenant.as_str(), dataset.as_str(), &request);
+                    let outcome = match &post {
+                        Some(body) => fleet.post_json(tenant.as_str(), &target, body),
+                        None if op_idx % MISROUTE_EVERY == MISROUTE_EVERY - 1 => {
+                            fleet.get_misrouted(tenant.as_str(), &target)
+                        }
+                        None => fleet.get(tenant.as_str(), &target),
+                    };
+                    let Ok(answer) = outcome else {
+                        bump(&tally.unanswered);
+                        continue;
+                    };
+                    latency.record(sent.elapsed());
+                    if answer.degraded {
+                        bump(&tally.degraded);
+                    }
+                    tally.check_trace(&answer.response, Some(stamped));
+                    // Ownership gate: a 200 must be stamped by the ring's
+                    // owner — anything else is the partitioning twin of torn.
+                    let owner_name = fleet.ring().groups()[owner].name.as_str();
+                    if answer.response.status == 200
+                        && answer.response.header(OWNER_HEADER) != Some(owner_name)
+                    {
+                        bump(&tally.mis_owned);
+                    }
+                    let outcome = verify(tenant.as_str(), &request, &answer.response, &registry);
+                    tally.settle(&tally.verified, outcome);
+                }
+                tally.absorb(fleet.client_stats());
+                Ok(())
             }));
         }
 
-        // Join everything defensively: the watcher loops until the stop
-        // flag, so any early return (a client error) or panic propagation
-        // before `stop_watcher` is set would leave `scope` blocked on it
-        // forever.  Collect failures, always set the flag, then report.
-        fn note(
-            first_error: &mut Option<NetError>,
-            joined: std::thread::Result<NetResult<()>>,
-            who: &str,
-        ) {
-            let outcome = match joined {
-                Ok(Ok(())) => return,
-                Ok(Err(e)) => e,
-                Err(_) => NetError::Protocol(format!("{who} thread panicked")),
-            };
-            if first_error.is_none() {
-                *first_error = Some(outcome);
-            }
-        }
+        // Join everything defensively: the watcher and the monkey loop until
+        // the stop flag, so an early client error must not leave the scope
+        // blocked on them.  Collect failures, always raise the flag, then
+        // report the first.
         let mut first_error: Option<NetError> = None;
         for client in clients {
             note(&mut first_error, client.join(), "client");
@@ -870,42 +1241,64 @@ pub fn run_http_workload(http_spec: &HttpWorkloadSpec) -> NetResult<HttpLoadRepo
             start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
             Ordering::Relaxed,
         );
-        // The client phase may be shorter than the probe tenant's TTL; give
-        // the watcher a grace window to see one complete cycle (expiry →
-        // background refresh → publish → fresh again) before stopping it —
-        // but only on the happy path; a failed run stops immediately.
+        // Grace windows, on the happy path only: the client phase may be
+        // shorter than the probe's TTL, so give the watcher time to see one
+        // complete cycle; and let a restart that straddles the end of the
+        // client phase finish.
         if first_error.is_none() {
-            if let Some(ttl) = http_spec.ttl {
-                let grace = (ttl * 30).max(Duration::from_secs(2));
-                let deadline = Instant::now() + grace;
-                while ttl_bumps.load(Ordering::Relaxed) == 0 && Instant::now() < deadline {
-                    std::thread::sleep(ttl / 4);
-                }
+            if let Some(ttl) = fleet_spec.ttl {
+                let grace = Instant::now() + (ttl * 30).max(Duration::from_secs(2));
+                wait_for(|| load(&tally.ttl_bumps) > 0, &stop, Some(grace));
+            }
+            if monkey.is_some() {
+                let grace = Instant::now() + Duration::from_secs(5);
+                let restarted = || load(&tally.kills) <= load(&tally.restarts);
+                wait_for(restarted, &stop, Some(grace));
             }
         }
-        stop_watcher.store(true, Ordering::Release);
+        stop.store(true, Ordering::Release);
+        if let Some(monkey) = monkey {
+            note(&mut first_error, monkey.join(), "chaos monkey");
+        }
         if let Some(watcher) = watcher {
             note(&mut first_error, watcher.join(), "watcher");
         }
         note(&mut first_error, refresher.join(), "refresher");
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    })?;
+        first_error.map_or(Ok(()), Err)
+    });
     let wall = Duration::from_nanos(client_phase_nanos.load(Ordering::Relaxed));
 
-    // Teardown order: HTTP server first (no more engine calls), then the
-    // refresh pool (drains any in-flight re-ingest into the still-live
-    // catalog), then the catalog goes with the last Arc.  Stats are read
-    // after the drain so in-flight requests are counted.
-    server.shutdown();
-    let server_stats = server.stats();
-    let slow_log = server
-        .telemetry()
-        .slow()
-        .top(3)
-        .into_iter()
+    // Teardown order: secondaries first (their pollers dial the primaries),
+    // then the proxies, then the primaries (stats read after their drain, so
+    // in-flight requests count), then the refresh pool, which drains any
+    // in-flight re-ingest into its still-live catalog.
+    for secondary in secondaries.iter_mut().flatten() {
+        secondary.shutdown();
+    }
+    let mut chaos = ChaosCounters::default();
+    for proxy in proxies.into_iter().flatten() {
+        let c = proxy.counters();
+        chaos.drops += c.drops;
+        chaos.delays += c.delays;
+        chaos.truncates += c.truncates;
+        chaos.resets += c.resets;
+        chaos.flaps += c.flaps;
+        proxy.shutdown();
+    }
+    let mut slow = Vec::new();
+    let mut server_stats = Vec::with_capacity(primaries.len());
+    for mut primary in primaries {
+        primary.shutdown();
+        server_stats.push(primary.stats());
+        slow.extend(primary.telemetry().slow().top(3));
+    }
+    pool.shutdown();
+    run_result?;
+
+    slow.sort_by_key(|e| std::cmp::Reverse(e.duration_nanos));
+    let slow_log = slow
+        .iter()
+        .take(3)
         .map(|e| {
             format!(
                 "slow: trace {} {} — {}\n",
@@ -914,48 +1307,57 @@ pub fn run_http_workload(http_spec: &HttpWorkloadSpec) -> NetResult<HttpLoadRepo
                 e.detail
             )
         })
-        .collect::<String>();
-    pool.shutdown();
-
-    // Client ops only: the probe's verified polls live in `probe_polls` and
-    // plan pipelines in `plan_ops`, so `ops` stays a pure single-target
-    // count (`verified == ops` is the consistency gate benches assert on).
-    // Torn reads and HTTP errors stay shared — they are correctness signals
-    // wherever they occur.
-    let mut report = HttpLoadReport {
-        ops: verified.load(Ordering::Relaxed)
-            + torn.load(Ordering::Relaxed)
-            + http_errors.load(Ordering::Relaxed)
-            + shed.load(Ordering::Relaxed),
-        verified: verified.load(Ordering::Relaxed),
-        plan_ops: plan_ops.load(Ordering::Relaxed),
-        plan_verified: plan_verified.load(Ordering::Relaxed),
-        torn_reads: torn.load(Ordering::Relaxed)
-            + probe_torn.load(Ordering::Relaxed)
-            + plan_torn.load(Ordering::Relaxed),
-        http_errors: http_errors.load(Ordering::Relaxed)
-            + probe_errors.load(Ordering::Relaxed)
-            + plan_errors.load(Ordering::Relaxed),
-        sheds: shed.load(Ordering::Relaxed)
-            + plan_shed.load(Ordering::Relaxed)
-            + probe_shed.load(Ordering::Relaxed),
-        probe_polls: probe_polls.load(Ordering::Relaxed),
-        refreshes_published: refreshes.load(Ordering::Relaxed),
-        non_fresh_served: non_fresh.load(Ordering::Relaxed),
-        ttl_refreshes_observed: ttl_bumps.load(Ordering::Relaxed),
-        connect_errors: connect_errors.load(Ordering::Relaxed),
-        timeouts: timeouts.load(Ordering::Relaxed),
-        retries: retries.load(Ordering::Relaxed),
-        trace_violations: trace_violations.load(Ordering::Relaxed),
+        .collect();
+    let shares = ring
+        .groups()
+        .iter()
+        .zip(server_stats)
+        .enumerate()
+        .map(|(g, (group, server))| GroupShare {
+            group: group.name.clone(),
+            tenants: owners.iter().filter(|&&o| o == g).count() as u64,
+            ops: load(&group_ops[g]),
+            catalog: catalogs[g].stats(),
+            server,
+        })
+        .collect();
+    let mut report = FleetLoadReport {
+        groups: fleet_spec.groups,
+        replicas: fleet_spec.replicas,
+        ops: load(&tally.ops),
+        verified: load(&tally.verified),
+        plan_ops: load(&tally.plan_ops),
+        plan_verified: load(&tally.plan_verified),
+        plan_unanswered: load(&tally.plan_unanswered),
+        torn_reads: load(&tally.torn),
+        mis_owned: load(&tally.mis_owned),
+        http_errors: load(&tally.http_errors),
+        sheds: load(&tally.sheds),
+        degraded: load(&tally.degraded),
+        unanswered: load(&tally.unanswered),
+        refreshes_published: load(&tally.refreshes),
+        probe_polls: load(&tally.probe_polls),
+        non_fresh_served: load(&tally.non_fresh),
+        ttl_refreshes_observed: load(&tally.ttl_bumps),
+        reroutes: stats.reroutes(),
+        failovers: stats.failovers(),
+        breaker_opens: stats.breaker_opens(),
+        sync_deltas_applied: stats.sync_deltas_applied(),
+        chaos,
+        connect_errors: load(&tally.connect_errors),
+        timeouts: load(&tally.timeouts),
+        retries: load(&tally.retries),
+        trace_violations: load(&tally.trace_violations),
+        kills: load(&tally.kills),
+        restarts: load(&tally.restarts),
+        shares,
         wall,
         latency: latency.snapshot(),
-        catalog: catalog.stats(),
-        server: server_stats,
-        target_qps: http_spec.target_qps,
+        target_qps: spec.target_qps,
         slo: SloOutcome::default(),
         slow_log,
     };
-    report.slo = http_spec
+    report.slo = fleet_spec
         .slo
         .evaluate(&report.latency, report.error_rate(), report.shed_rate());
     Ok(report)

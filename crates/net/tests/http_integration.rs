@@ -639,13 +639,22 @@ fn overload_sheds_with_503_instead_of_queueing_forever() {
     );
     let addr = server.local_addr();
     // Hold the worker: open a connection and a request stream but never
-    // finish a request; the worker sits in its keep-alive wait.
-    let _held = {
+    // finish a request; the worker sits in its keep-alive wait.  A
+    // zero-capacity queue hands a connection over only while the lone
+    // worker waits on it, so on a busy host even this first connection can
+    // be shed before the worker gets there: retry until the worker has it.
+    let mut held = None;
+    for _ in 0..200 {
         let mut c = HttpClient::new(addr.to_string());
-        assert_eq!(c.get("/healthz").unwrap().status, 200);
-        c // keep-alive connection stays open, worker parked on it
-    };
+        if c.get("/healthz").is_ok_and(|r| r.status == 200) {
+            held = Some(c); // keep-alive connection stays open, worker parked on it
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let _held = held.expect("the lone worker never took a connection");
     std::thread::sleep(Duration::from_millis(50));
+    let rejected_before = server.stats().rejected;
     let mut shed = HttpClient::new(addr.to_string());
     let response = shed.get("/healthz");
     match response {
@@ -655,5 +664,9 @@ fn overload_sheds_with_503_instead_of_queueing_forever() {
             // rejection may surface as a closed connection instead.
         }
     }
-    assert!(server.stats().rejected >= 1, "{:?}", server.stats());
+    assert!(
+        server.stats().rejected > rejected_before,
+        "{:?}",
+        server.stats()
+    );
 }

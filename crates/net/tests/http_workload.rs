@@ -1,20 +1,20 @@
-//! The HTTP workload harness end to end: zero torn reads, zero HTTP errors,
-//! single-target and plan ops both byte-verified, refreshes mid-run, and at
-//! least one complete TTL expiry→refresh→publish cycle observed over the
-//! wire.
+//! The fleet harness in its 1×1 shape — the plain HTTP run — end to end:
+//! zero torn reads, zero HTTP errors, single-target and plan ops both
+//! byte-verified, refreshes mid-run, and at least one complete TTL
+//! expiry→refresh→publish cycle observed over the wire.
 
 use opaq_metrics::SloThresholds;
-use opaq_net::{run_http_workload, HttpWorkloadSpec, NetError};
+use opaq_net::{run_fleet_workload, ChaosConfig, FleetWorkloadSpec, NetError};
 use std::time::Duration;
 
 #[test]
 fn quick_http_workload_serves_everything_untorn() {
-    let mut spec = HttpWorkloadSpec::quick();
+    let mut spec = FleetWorkloadSpec::quick();
     spec.spec.clients = 4;
     spec.spec.tenants = 2;
     spec.spec.ops_per_client = 150;
     spec.ttl = Some(Duration::from_millis(80));
-    let report = run_http_workload(&spec).unwrap();
+    let report = run_fleet_workload(&spec).unwrap();
 
     assert_eq!(
         report.torn_reads,
@@ -23,6 +23,11 @@ fn quick_http_workload_serves_everything_untorn() {
         report.render()
     );
     assert_eq!(report.http_errors, 0, "{}", report.render());
+    // One server and no injected faults: every request is answered live —
+    // no replay from the client's cache, nothing dropped.
+    assert_eq!(report.degraded, 0, "{}", report.render());
+    assert_eq!(report.unanswered, 0, "{}", report.render());
+    assert_eq!(report.plan_unanswered, 0, "{}", report.render());
     // Every fifth op is a POST /v1/query pipeline; the rest are
     // single-target requests.  Both legs must verify completely.
     assert_eq!(report.ops + report.plan_ops, 4 * 150, "{}", report.render());
@@ -45,8 +50,10 @@ fn quick_http_workload_serves_everything_untorn() {
         "at least one full expiry→refresh→publish cycle: {}",
         report.render()
     );
-    assert!(report.catalog.ttl_refreshes >= 1);
-    assert!(report.server.requests >= report.ops);
+    assert_eq!((report.groups, report.replicas), (1, 1));
+    let primary = &report.shares[0];
+    assert!(primary.catalog.ttl_refreshes >= 1);
+    assert!(primary.server.requests >= report.ops);
     assert!(report.latency.p50 <= report.latency.p999);
     let rendered = report.render();
     assert!(rendered.contains("ttl refreshes observed"), "{rendered}");
@@ -54,13 +61,13 @@ fn quick_http_workload_serves_everything_untorn() {
 
 #[test]
 fn open_loop_mode_holds_the_offered_rate_and_reports_slo_verdicts() {
-    let mut spec = HttpWorkloadSpec::quick();
+    let mut spec = FleetWorkloadSpec::quick();
     spec.spec.clients = 2;
     spec.spec.tenants = 2;
     spec.spec.ops_per_client = 60;
     spec.spec.refresh_rounds = 1;
     spec.ttl = None; // keep the run to the rate-controlled client phase
-    spec.target_qps = Some(1_000.0);
+    spec.spec.target_qps = Some(1_000.0);
     spec.slo = SloThresholds {
         // Generous enough that a loopback run can't breach latency, strict
         // enough that any error or shed is a breach.
@@ -70,7 +77,7 @@ fn open_loop_mode_holds_the_offered_rate_and_reports_slo_verdicts() {
         max_shed_rate: Some(0.0),
         ..Default::default()
     };
-    let report = run_http_workload(&spec).unwrap();
+    let report = run_fleet_workload(&spec).unwrap();
 
     // 120 ops at 1000 qps aggregate: the schedule alone takes ≥ ~118 ms.
     assert!(
@@ -81,6 +88,9 @@ fn open_loop_mode_holds_the_offered_rate_and_reports_slo_verdicts() {
     assert_eq!(report.torn_reads, 0, "{}", report.render());
     assert_eq!(report.http_errors, 0, "{}", report.render());
     assert_eq!(report.sheds, 0, "{}", report.render());
+    assert_eq!(report.degraded, 0, "{}", report.render());
+    assert_eq!(report.unanswered, 0, "{}", report.render());
+    assert_eq!(report.plan_unanswered, 0, "{}", report.render());
     assert_eq!(report.ops + report.plan_ops, 2 * 60);
     assert_eq!(report.verified, report.ops);
     assert_eq!(report.plan_verified, report.plan_ops);
@@ -97,21 +107,40 @@ fn open_loop_mode_holds_the_offered_rate_and_reports_slo_verdicts() {
 
 #[test]
 fn degenerate_specs_are_rejected() {
-    let mut spec = HttpWorkloadSpec::quick();
+    let mut spec = FleetWorkloadSpec::quick();
     spec.spec.clients = 0;
     assert!(matches!(
-        run_http_workload(&spec),
+        run_fleet_workload(&spec),
         Err(NetError::InvalidConfig(_))
     ));
-    let mut spec = HttpWorkloadSpec::quick();
-    spec.target_qps = Some(0.0);
+    let mut spec = FleetWorkloadSpec::quick();
+    spec.spec.target_qps = Some(0.0);
     assert!(matches!(
-        run_http_workload(&spec),
+        run_fleet_workload(&spec),
         Err(NetError::InvalidConfig(_))
     ));
-    spec.target_qps = Some(f64::NAN);
+    spec.spec.target_qps = Some(f64::NAN);
     assert!(matches!(
-        run_http_workload(&spec),
+        run_fleet_workload(&spec),
+        Err(NetError::InvalidConfig(_))
+    ));
+    let zero_groups = FleetWorkloadSpec {
+        groups: 0,
+        ..FleetWorkloadSpec::quick()
+    };
+    assert!(run_fleet_workload(&zero_groups).is_err());
+    let zero_replicas = FleetWorkloadSpec {
+        replicas: 0,
+        ..FleetWorkloadSpec::quick()
+    };
+    assert!(run_fleet_workload(&zero_replicas).is_err());
+    // Chaos kills a secondary: one replica per group has none to kill.
+    let lone_chaos = FleetWorkloadSpec {
+        chaos: Some(ChaosConfig::default()),
+        ..FleetWorkloadSpec::quick()
+    };
+    assert!(matches!(
+        run_fleet_workload(&lone_chaos),
         Err(NetError::InvalidConfig(_))
     ));
 }

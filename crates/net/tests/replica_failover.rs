@@ -1,11 +1,12 @@
 //! Replication and failover over real sockets: peer bootstrap byte-identity,
 //! delta catch-up, circuit-broken client failover with graceful degradation,
-//! and the chaos fleet harness end to end.
+//! and the fleet harness in its 1×2 shape end to end, chaos included.
 
 use opaq_core::{IncrementalOpaq, OpaqConfig};
+use opaq_metrics::SloThresholds;
 use opaq_net::{
-    bootstrap, run_replica_workload, sync_once, BreakerConfig, ChaosConfig, HttpClient, HttpServer,
-    ReplicaConfig, ReplicaSet, ReplicaWorkloadSpec, ReplicationStats, Replicator, ServerConfig,
+    bootstrap, run_fleet_workload, sync_once, BreakerConfig, ChaosConfig, FleetWorkloadSpec,
+    HttpClient, HttpServer, ReplicaConfig, ReplicaSet, ReplicationStats, Replicator, ServerConfig,
     VERSION_HEADER,
 };
 use opaq_serve::{DatasetId, QueryEngine, SketchCatalog, TenantId, WorkloadSpec};
@@ -249,12 +250,12 @@ fn replica_set_fails_over_and_degrades_gracefully() {
 
 #[test]
 fn chaos_fleet_run_has_zero_torn_answers_through_kill_and_restart() {
-    let mut spec = ReplicaWorkloadSpec {
+    let mut spec = FleetWorkloadSpec {
         spec: WorkloadSpec::quick(),
         replicas: 2,
         chaos: Some(ChaosConfig::default()),
-        kill_restart: true,
-        ..ReplicaWorkloadSpec::default()
+        ttl: None,
+        ..FleetWorkloadSpec::default()
     };
     spec.spec.clients = 3;
     spec.spec.ops_per_client = 60;
@@ -262,11 +263,12 @@ fn chaos_fleet_run_has_zero_torn_answers_through_kill_and_restart() {
     spec.spec.keys_per_tenant = 4_000;
     spec.spec.refresh_rounds = 3;
 
-    let report = run_replica_workload(&spec).unwrap();
+    let report = run_fleet_workload(&spec).unwrap();
     assert_eq!(report.torn_reads, 0, "torn answers:\n{}", report.render());
     assert_eq!(report.http_errors, 0, "http errors:\n{}", report.render());
     assert!(report.verified > 0);
-    assert_eq!(report.ops, 180);
+    // Every op is issued exactly once: single-target or plan.
+    assert_eq!(report.ops + report.plan_ops, 180);
     assert_eq!(
         report.kills,
         1,
@@ -290,7 +292,7 @@ fn chaos_fleet_run_has_zero_torn_answers_through_kill_and_restart() {
         report.render()
     );
     assert!(
-        report.chaos_faults_injected > 0,
+        report.chaos.total() > 0,
         "chaos proxy injected nothing:\n{}",
         report.render()
     );
@@ -298,11 +300,50 @@ fn chaos_fleet_run_has_zero_torn_answers_through_kill_and_restart() {
 }
 
 #[test]
-fn fleet_without_chaos_is_clean() {
-    let mut spec = ReplicaWorkloadSpec {
+fn open_loop_chaos_run_keeps_the_midpoint_hold_out_of_its_latencies() {
+    // Clients hold at their midpoint until the victim's breaker opens.  The
+    // hold is the harness's pause: it must shift the open-loop schedule, not
+    // land in the latency distribution the SLO verdicts read.  At this rate
+    // the kill comes a few milliseconds before the midpoint, so clients do
+    // hold; a hold that reaches its 5 s deadline would breach the p99.
+    let mut spec = FleetWorkloadSpec {
         spec: WorkloadSpec::quick(),
         replicas: 2,
-        ..ReplicaWorkloadSpec::default()
+        chaos: Some(ChaosConfig::default()),
+        ttl: None,
+        slo: SloThresholds {
+            p99: Some(Duration::from_secs(1)),
+            ..Default::default()
+        },
+        ..FleetWorkloadSpec::default()
+    };
+    spec.spec.clients = 3;
+    spec.spec.ops_per_client = 60;
+    spec.spec.tenants = 2;
+    spec.spec.keys_per_tenant = 4_000;
+    spec.spec.refresh_rounds = 2;
+    spec.spec.target_qps = Some(3_000.0);
+
+    let report = run_fleet_workload(&spec).unwrap();
+    assert_eq!(report.torn_reads, 0, "{}", report.render());
+    assert_eq!(
+        (report.kills, report.restarts),
+        (1, 1),
+        "{}",
+        report.render()
+    );
+    assert_eq!(report.ops + report.plan_ops, 180);
+    assert_eq!(report.slo.checks.len(), 1);
+    assert_eq!(report.slo.breaches(), 0, "{}", report.render());
+}
+
+#[test]
+fn fleet_without_chaos_is_clean() {
+    let mut spec = FleetWorkloadSpec {
+        spec: WorkloadSpec::quick(),
+        replicas: 2,
+        ttl: None,
+        ..FleetWorkloadSpec::default()
     };
     spec.spec.clients = 2;
     spec.spec.ops_per_client = 40;
@@ -310,11 +351,12 @@ fn fleet_without_chaos_is_clean() {
     spec.spec.keys_per_tenant = 4_000;
     spec.spec.refresh_rounds = 2;
 
-    let report = run_replica_workload(&spec).unwrap();
+    let report = run_fleet_workload(&spec).unwrap();
     assert_eq!(report.torn_reads, 0, "{}", report.render());
     assert_eq!(report.http_errors, 0, "{}", report.render());
     assert_eq!(report.unanswered, 0, "{}", report.render());
+    assert_eq!(report.degraded, 0, "{}", report.render());
     assert_eq!(report.verified, report.ops, "{}", report.render());
     assert_eq!(report.kills, 0);
-    assert_eq!(report.chaos_faults_injected, 0);
+    assert_eq!(report.chaos.total(), 0);
 }

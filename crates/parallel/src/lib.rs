@@ -8,8 +8,8 @@
 //! The quantile phase is unchanged except that the total number of runs is
 //! `r·p`.  All the sequential error lemmas carry over.
 //!
-//! The original hardware is simulated (see DESIGN.md §3): each "processor"
-//! is an OS thread with private data, communicating exclusively through
+//! The original hardware is simulated: each "processor" is an OS thread
+//! with private data, communicating exclusively through
 //! explicit messages ([`machine`]); a two-level cost model
 //! ([`cost_model::CostModel`], the paper's `τ`/`μ` parameters) charges every
 //! message so the analytical complexities of Table 8 can be reported next to
