@@ -261,10 +261,10 @@ fn parse_strategy(args: &Args) -> CliResult<SelectionStrategy> {
 
 /// `opaq sketch`: one pass over a data file, print dectiles, optionally save.
 ///
-/// With `--threads T > 1` the ingest is sharded over `T` worker threads fed
-/// by a prefetching dispatcher; the resulting sketch is bit-identical to the
-/// single-threaded one, so `--out` files are byte-for-byte reproducible
-/// across thread counts.
+/// With `--threads T > 1` the ingest is sharded over `T` worker threads
+/// fed from one sequential read pass; the resulting sketch is
+/// bit-identical to the single-threaded one, so `--out` files are
+/// byte-for-byte reproducible across thread counts.
 pub fn sketch(args: &Args) -> CliResult<String> {
     args.validate(
         "sketch",

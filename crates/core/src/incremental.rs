@@ -65,8 +65,7 @@ impl<K: Key> IncrementalOpaq<K> {
     /// Absorb one new run **in place**: `run` is partially reordered by the
     /// selection (the buffer-reuse contract of
     /// [`crate::sample_phase`]) and handed back to the caller, who typically
-    /// refills it with the next run — the allocation-free ingest hot path
-    /// used by the sharded workers.
+    /// refills it with the next run — the allocation-free ingest hot path.
     ///
     /// Runs larger than the configured run length are split so that the
     /// per-run error guarantees keep holding.
@@ -114,8 +113,7 @@ impl<K: Key> IncrementalOpaq<K> {
     }
 
     /// Consume the estimator and return the accumulated sketch, if any data
-    /// has been absorbed (used by the sharded ingestion workers, which hand
-    /// their per-shard sketch to the merge tree without cloning it).
+    /// has been absorbed (without cloning it).
     pub fn into_sketch(self) -> Option<QuantileSketch<K>> {
         self.sketch
     }

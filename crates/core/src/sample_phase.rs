@@ -126,9 +126,14 @@ impl RunSampler {
             self.ranks = regular_sample_ranks(m, s_eff);
             self.cached_m = m;
         }
-        let run_min = *run.iter().min().expect("non-empty run has a minimum");
         let mut values = Vec::with_capacity(self.ranks.len());
         multiselect_into(run, &self.ranks, self.strategy, &mut values);
+        // Selection left `run[..ranks[0]]` all `<=` the first sample, so the
+        // minimum lies in those `⌈m/s⌉` keys: no second pass over the run.
+        let run_min = *run[..=self.ranks[0]]
+            .iter()
+            .min()
+            .expect("non-empty run has a minimum");
         let mut gaps = Vec::with_capacity(self.ranks.len());
         let mut prev_rank_1based = 0u64;
         for &r in &self.ranks {
@@ -150,6 +155,7 @@ impl RunSampler {
 mod tests {
     use super::*;
     use opaq_select::SelectionStrategy;
+    use proptest::prelude::*;
 
     fn strategy() -> SelectionStrategy {
         SelectionStrategy::default()
@@ -259,5 +265,45 @@ mod tests {
             sample_run(&mut run, 0, strategy()),
             Err(OpaqError::InvalidConfig(_))
         ));
+    }
+
+    /// Every strategy must leave the minimum among the first `⌈m/s⌉` keys,
+    /// where [`RunSampler::sample`] looks for it.
+    fn assert_run_min_is_true_min(run: Vec<u64>, s: u64) -> Result<(), TestCaseError> {
+        let truth = *run.iter().min().unwrap();
+        for strategy in SelectionStrategy::ALL {
+            let rs = sample_run(&mut run.clone(), s, strategy).unwrap();
+            prop_assert_eq!(rs.run_min, truth, "{:?}", strategy);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn run_min_is_the_true_minimum(
+            run in proptest::collection::vec(any::<u64>(), 1..3_000),
+            s in 1u64..80,
+        ) {
+            assert_run_min_is_true_min(run, s)?;
+        }
+
+        #[test]
+        fn run_min_is_the_true_minimum_duplicate_heavy(
+            len in 1usize..3_000,
+            domain in 1u64..4,
+            shift in 0usize..3_000,
+            s in 1u64..80,
+        ) {
+            // Few distinct values, with the minimum's copies placed by `shift`.
+            let run: Vec<u64> = (0..len).map(|i| ((i + shift) as u64 * 7) % domain).collect();
+            assert_run_min_is_true_min(run, s)?;
+        }
+
+        #[test]
+        fn run_min_of_a_single_element_run(key in any::<u64>(), s in 1u64..8) {
+            assert_run_min_is_true_min(vec![key], s)?;
+        }
     }
 }

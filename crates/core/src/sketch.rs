@@ -384,9 +384,9 @@ impl<K: Key> QuantileSketch<K> {
     ///
     /// Ties are broken in favour of `self`, so folding sketches left to
     /// right keeps equal sample values ordered by the run index they came
-    /// from.  That stability is what makes the sharded ingestion path
-    /// (`opaq-parallel`'s `ShardedOpaq`) bit-identical to the sequential
-    /// fold for any shard count.
+    /// from.  That stability is what makes [`crate::IncrementalOpaq`]'s
+    /// fold bit-identical to a one-shot
+    /// [`QuantileSketch::from_run_samples`] over the same runs.
     ///
     /// # Errors
     /// [`OpaqError::EmptyDataset`] if either sketch is empty: an empty

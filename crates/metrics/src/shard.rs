@@ -1,10 +1,10 @@
 //! Per-shard ingestion statistics for the sharded (multi-threaded) OPAQ
 //! ingest path.
 //!
-//! The sharded ingester in `opaq-parallel` fans runs out to worker threads;
-//! each worker reports how many runs and elements it absorbed, how long it
-//! spent sampling/merging ([`ShardStats::busy`]) and how long it sat idle
-//! waiting for the dispatcher to hand it a run ([`ShardStats::starved`]).
+//! The sharded ingester in `opaq-parallel` feeds runs to worker threads
+//! through one shared queue; each worker reports how many runs and elements
+//! it sampled, how long it spent sampling ([`ShardStats::busy`]) and how
+//! long it sat idle waiting for the next run ([`ShardStats::starved`]).
 //! A high starved fraction across all shards means ingestion is I/O-bound
 //! (adding threads will not help); a low one means the sampling CPU work is
 //! the bottleneck and more shards scale it — the same diagnostic the paper's
@@ -15,19 +15,19 @@ use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// What one ingestion shard (worker thread) did.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardStats {
-    /// Shard index (also the deterministic merge-tree position).
+    /// Worker index.
     pub shard: usize,
-    /// Number of store runs this shard absorbed.
+    /// Number of store runs this worker sampled.
     pub runs: u64,
-    /// Number of data elements this shard absorbed.
+    /// Number of data elements this worker sampled.
     pub elements: u64,
-    /// Number of sample points in the shard's local sketch.
+    /// Number of sample points this worker extracted.
     pub sample_points: usize,
-    /// Wall-clock time spent sampling runs and merging sample lists.
+    /// Wall-clock time spent sampling runs.
     pub busy: Duration,
-    /// Wall-clock time spent blocked on the dispatcher (I/O starvation).
+    /// Wall-clock time spent waiting on the run queue (I/O starvation).
     pub starved: Duration,
 }
 

@@ -1,65 +1,73 @@
 //! Sharded multi-threaded ingestion: OPAQ's sample phase fanned out to OS
-//! worker threads, with a deterministic sketch-merge tree.
+//! worker threads through one shared run queue.
 //!
 //! The paper's one-pass structure makes every run independent until the
 //! final sample merge, which §5 exploits on the SP-2; [`ShardedOpaq`] is the
 //! shared-memory version of that observation:
 //!
 //! ```text
-//!            ┌────────────┐   bounded channels    ┌──────────┐
-//! RunStore ─▶│ dispatcher │──▶ shard 0 runs ─────▶│ worker 0 │─┐
-//!            │ (prefetch  │──▶ shard 1 runs ─────▶│ worker 1 │─┤  sketch
-//!            │  thread)   │──▶ …                  │ …        │ ├─▶ merge
-//!            └────────────┘──▶ shard S−1 runs ───▶│ worker S │─┘   tree
-//!            one sequential                        IncrementalOpaq
-//!            pass over disk                        per shard
+//!  RunStore                     one bounded           S workers, one
+//!     │ runs 0, 1, …, r−1       queue (depth d)       RunSampler each
+//!     ▼ read_run_into         ┌────────────────┐    ┌─▶ worker 0 ─┐ (run, RunSample)
+//!  reader (calling thread) ──▶│ (run, buf) × d │ ───┼─▶ worker 1 ─┤  sorted by run
+//!     ▲                       └────────────────┘    └─▶ …        ─┤        │
+//!     └────────── BufferPool ◀── sampled buffers ─────────────────┘        ▼
+//!                                                              from_run_samples
 //! ```
 //!
-//! * **One reader, many samplers.**  The dispatcher performs the single
-//!   sequential pass over the store — via the storage crate's
-//!   double-buffered prefetcher, so the read of run `i + 1` overlaps the
-//!   fan-out of run `i` — and hands each run to the worker that owns it.
-//!   Disk access stays strictly sequential (the access pattern the paper's
-//!   cost model assumes) while the `O(m log s)` multi-selection work, the
-//!   dominant CPU cost, runs on all shards concurrently.
-//! * **Contiguous shard assignment.**  Shard `k` of `S` owns the contiguous
-//!   run range `[k·r/S, (k+1)·r/S)`.  Combined with the tie-breaking rule of
-//!   [`QuantileSketch::merge`] (equal values keep left-operand order), this
-//!   makes the final sketch **bit-identical to the sequential
-//!   [`IncrementalOpaq`] fold over the same store, for any shard count and
-//!   any worker completion order**: each worker folds its runs in ascending
-//!   run order, and the merge tree combines shard sketches in ascending
-//!   shard order, so equal sample values are globally ordered by the run
-//!   they came from — exactly as in the sequential left-to-right fold.
-//! * **Bounded memory, zero steady-state allocation.**  Every run channel
-//!   holds at most `prefetch_depth` runs, so a slow worker back-pressures
-//!   the dispatcher instead of letting buffered runs pile up; peak memory
-//!   stays at most `(S·(depth + 1) + depth + 2) · m` keys (per shard:
-//!   `depth` buffered plus one being sampled; plus the prefetch pipeline's
-//!   `depth + 2`) on top of the `r·s` sample points.  Those buffers
-//!   *recycle*: workers return each sampled run to a shared
-//!   [`BufferPool`] that the prefetching reader refills via
-//!   `RunStore::read_run_into`, so after warm-up no run read allocates
-//!   (watch the `buffer_allocs`/`buffer_reuses` counters in the report's
-//!   [`IoStatsSnapshot`]).
+//! * **One reader, many samplers.**  The calling thread performs the single
+//!   sequential pass over the store, reading run `i` into a pooled buffer
+//!   with `RunStore::read_run_into` and pushing `(i, buf)` onto one bounded
+//!   queue.  Disk access stays strictly sequential (the access pattern the
+//!   paper's cost model assumes), while whichever worker is free takes the
+//!   next run, so the `O(m log s)` multi-selection work — the dominant CPU
+//!   cost — keeps every worker busy from the first runs of the pass to the
+//!   last.  (The vendored crossbeam shim is std `mpsc`, whose receiver is
+//!   single-consumer; the workers share it behind a mutex.)
+//! * **Bit-identical to [`OpaqEstimator::build_sketch`] by construction.**
+//!   Each worker keeps `(run index, RunSample)` pairs.  A run's sample
+//!   depends only on the run's contents, never on the worker that took it
+//!   or when.  After the pass the pairs are sorted by run index and handed
+//!   to [`QuantileSketch::from_run_samples`], the same final step the
+//!   sequential estimator takes over the same list, so the two sketches are
+//!   equal for any worker count and any completion order.
+//! * **Bounded memory, zero steady-state allocation.**  The queue holds at
+//!   most `prefetch_depth` runs, so slow workers back-pressure the reader
+//!   instead of letting buffered runs pile up.  At most `S + depth + 1`
+//!   run buffers of `m` keys exist at once: `depth` queued, one being
+//!   filled by the reader, and one per worker being sampled; on top of that
+//!   sit the `r·s` sample points.  Workers return each sampled buffer to a
+//!   shared [`BufferPool`] that the reader refills, so after warm-up no run
+//!   read allocates (watch the `buffer_allocs`/`buffer_reuses` counters in
+//!   the report's [`IoStatsSnapshot`]).
+//! * **No deadlock on error.**  The workers hold the only handles to the
+//!   queue's receiver.  A worker that fails raises a shared flag, after
+//!   which the other workers stop taking runs; once the last worker has
+//!   exited the receiver is gone, so the reader's next send fails — even
+//!   one already blocked on a full queue — and it stops reading.
 //! * **Observability.**  Each worker reports an [`opaq_metrics::ShardStats`]
 //!   (runs, elements, busy vs. starved wall-clock), and the report carries
 //!   the store's [`IoStatsSnapshot`] delta, so "is ingest I/O-bound or
 //!   CPU-bound?" is answerable per run — the multi-threaded analogue of the
 //!   paper's Table 11/12 I/O-fraction breakdown.
+//!
+//! [`OpaqEstimator::build_sketch`]: opaq_core::OpaqEstimator::build_sketch
 
 use crossbeam::channel;
-use opaq_core::{IncrementalOpaq, Key, OpaqConfig, OpaqError, OpaqResult, QuantileSketch};
+use opaq_core::{Key, OpaqConfig, OpaqError, OpaqResult, QuantileSketch, RunSample, RunSampler};
 use opaq_metrics::trace::{SpanTag, Stage, TraceSink};
 use opaq_metrics::{render_shard_table, ShardStats};
 use opaq_storage::{BufferPool, IoStatsSnapshot, RunStore, DEFAULT_PREFETCH_DEPTH};
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Multi-threaded OPAQ ingestion over any [`RunStore`].
 ///
 /// Produces a sketch bit-identical to the sequential
-/// [`IncrementalOpaq::add_store`] fold over the same store — see the module
-/// docs for why — while sampling runs on `threads` OS threads.
+/// [`opaq_core::OpaqEstimator::build_sketch`] over the same store — see the
+/// module docs for why — while sampling runs on `threads` OS threads.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedOpaq {
     config: OpaqConfig,
@@ -67,24 +75,24 @@ pub struct ShardedOpaq {
     prefetch_depth: usize,
 }
 
-/// What one sharded ingest did: per-shard statistics plus the phase and I/O
+/// What one sharded ingest did: per-worker statistics plus the phase and I/O
 /// totals of the whole pass.
 #[derive(Debug, Clone)]
 pub struct ShardedIngestReport {
-    /// Per-shard statistics, ordered by shard index.
+    /// Per-worker statistics, ordered by worker index.
     pub shards: Vec<ShardStats>,
     /// The store's I/O counter deltas for this ingest.
     pub io: IoStatsSnapshot,
-    /// Wall-clock time of the dispatch loop (sequential read + fan-out).
+    /// Wall-clock time of the read loop (sequential read + enqueue).
     pub dispatch: Duration,
-    /// Wall-clock time of the final sketch-merge tree.
+    /// Wall-clock time of the final [`QuantileSketch::from_run_samples`].
     pub merge: Duration,
     /// Wall-clock time of the whole ingest.
     pub total: Duration,
 }
 
 impl ShardedIngestReport {
-    /// Render the per-shard statistics as a fixed-width text table.
+    /// Render the per-worker statistics as a fixed-width text table.
     pub fn render_table(&self) -> String {
         render_shard_table(&self.shards)
     }
@@ -103,6 +111,12 @@ fn io_delta(before: IoStatsSnapshot, after: IoStatsSnapshot) -> IoStatsSnapshot 
         buffer_reuses: after.buffer_reuses.saturating_sub(before.buffer_reuses),
     }
 }
+
+/// The run queue's receiving end, shared by every worker and by nobody else.
+type RunQueue<K> = Arc<Mutex<channel::Receiver<(u64, Vec<K>)>>>;
+
+/// What one worker sampled: its statistics and `(run index, sample)` pairs.
+type WorkerOutput<K> = OpaqResult<(ShardStats, Vec<(u64, RunSample<K>)>)>;
 
 impl ShardedOpaq {
     /// Create a sharded ingester with `threads` worker threads.
@@ -124,10 +138,9 @@ impl ShardedOpaq {
         })
     }
 
-    /// Override the read-ahead / per-shard channel depth (clamped to ≥ 1,
-    /// default [`DEFAULT_PREFETCH_DEPTH`]).  Larger depths smooth out uneven
-    /// run processing times at the cost of `depth · m` extra buffered keys
-    /// per shard.
+    /// Override the run queue's depth (clamped to ≥ 1, default
+    /// [`DEFAULT_PREFETCH_DEPTH`]).  Larger depths smooth out uneven run
+    /// processing times at the cost of `depth · m` extra buffered keys.
     pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
         self.prefetch_depth = depth.max(1);
         self
@@ -138,7 +151,7 @@ impl ShardedOpaq {
         &self.config
     }
 
-    /// The configured worker thread count (the effective shard count is
+    /// The configured worker thread count (the effective worker count is
     /// capped at the store's run count).
     pub fn threads(&self) -> usize {
         self.threads
@@ -147,8 +160,8 @@ impl ShardedOpaq {
     /// Ingest every run of `store` and return the sketch.
     ///
     /// # Errors
-    /// [`OpaqError::EmptyDataset`] for an empty store; storage errors from
-    /// the sequential read pass are propagated.
+    /// [`OpaqError::EmptyDataset`] for an empty store or an empty run;
+    /// storage errors from the sequential read pass are propagated.
     pub fn build_sketch<K, S>(&self, store: &S) -> OpaqResult<QuantileSketch<K>>
     where
         K: Key,
@@ -157,7 +170,7 @@ impl ShardedOpaq {
         self.build_sketch_with_report(store).map(|(s, _)| s)
     }
 
-    /// Like [`Self::build_sketch`], also returning the per-shard report.
+    /// Like [`Self::build_sketch`], also returning the per-worker report.
     pub fn build_sketch_with_report<K, S>(
         &self,
         store: &S,
@@ -171,10 +184,10 @@ impl ShardedOpaq {
 
     /// Like [`Self::build_sketch_with_report`], additionally recording
     /// ingest-side trace spans into `sink`: one [`Stage::Ingest`] span per
-    /// shard worker (covering the worker's whole lifetime, so starvation is
+    /// worker (covering the worker's whole lifetime, so starvation is
     /// visible as span length vs. busy time in the report) and one
-    /// [`Stage::Merge`] span for the final merge tree, all parented under
-    /// `parent` (typically the refresh job's root span).
+    /// [`Stage::Merge`] span for the final [`QuantileSketch::from_run_samples`],
+    /// all parented under `parent` (typically the refresh job's root span).
     pub fn build_sketch_traced<K, S>(
         &self,
         store: &S,
@@ -201,154 +214,70 @@ impl ShardedOpaq {
             return Err(OpaqError::EmptyDataset);
         }
         let runs = store.layout().runs();
-        let shards = self.threads.min(runs as usize).max(1);
-        // Contiguous balanced blocks: shard k owns [starts[k], starts[k+1]).
-        let starts: Vec<u64> = (0..=shards)
-            .map(|k| (k as u64 * runs) / shards as u64)
-            .collect();
-
+        let workers = self.threads.min(runs as usize).max(1);
         let io_before = store.io_stats().snapshot();
         let total_start = Instant::now();
 
-        type WorkerResult<K> = OpaqResult<(Option<QuantileSketch<K>>, ShardStats)>;
-
-        // One buffer pool shared by the prefetching reader and every worker:
-        // a worker finishes sampling a run and parks the buffer for the
-        // reader to refill, so steady state recycles ~`shards·(depth+1)`
-        // buffers instead of allocating one per run.
+        let sampler = RunSampler::new(self.config.sample_size, self.config.strategy)?;
         let pool = BufferPool::<K>::new();
+        let failed = AtomicBool::new(false);
+        let (run_tx, run_rx) = channel::bounded::<(u64, Vec<K>)>(self.prefetch_depth);
+        let queue: RunQueue<K> = Arc::new(Mutex::new(run_rx));
 
-        let scope_result: OpaqResult<(QuantileSketch<K>, Vec<ShardStats>, Duration, Duration)> =
-            crossbeam::thread::scope(|scope| {
-                let (result_tx, result_rx) = channel::unbounded::<(usize, WorkerResult<K>)>();
-                let mut run_txs: Vec<channel::Sender<Vec<K>>> = Vec::with_capacity(shards);
-                for shard in 0..shards {
-                    let (run_tx, run_rx) = channel::bounded::<Vec<K>>(self.prefetch_depth);
-                    run_txs.push(run_tx);
-                    let result_tx = result_tx.clone();
-                    let config = self.config;
-                    let pool = &pool;
-                    scope.spawn(move |_| {
-                        // One Ingest span per shard worker, spanning its
-                        // whole lifetime (recv waits included).
-                        let span = trace.map(|(sink, _)| (sink.allocate(), sink.now_nanos()));
-                        let finish = |tag: SpanTag| {
-                            if let (Some((sink, parent)), Some((id, start))) = (trace, span) {
-                                sink.complete(id, parent, Stage::Ingest, tag, start);
-                            }
-                        };
-                        let mut inc = match IncrementalOpaq::<K>::new(config) {
-                            Ok(inc) => inc,
-                            Err(e) => {
-                                let _ = result_tx.send((shard, Err(e)));
-                                finish(SpanTag::Error);
-                                return;
-                            }
-                        };
-                        let mut busy = Duration::ZERO;
-                        let mut starved = Duration::ZERO;
-                        loop {
-                            let wait_start = Instant::now();
-                            // Channel closed = all of this shard's runs seen.
-                            let Ok(mut run) = run_rx.recv() else { break };
-                            starved += wait_start.elapsed();
-                            let work_start = Instant::now();
-                            let absorbed = inc.add_run_slice(&mut run);
-                            pool.put(run);
-                            if let Err(e) = absorbed {
-                                let _ = result_tx.send((shard, Err(e)));
-                                finish(SpanTag::Error);
-                                return;
-                            }
-                            busy += work_start.elapsed();
-                        }
-                        let stats = ShardStats {
-                            shard,
-                            runs: inc.runs_absorbed(),
-                            elements: inc.total_elements(),
-                            sample_points: inc.sketch().map_or(0, QuantileSketch::len),
-                            busy,
-                            starved,
-                        };
-                        let _ = result_tx.send((shard, Ok((inc.into_sketch(), stats))));
-                        finish(SpanTag::Untagged);
-                    });
-                }
-                drop(result_tx);
+        let (read, dispatch, outputs) = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|worker| {
+                    let (sampler, queue) = (sampler.clone(), Arc::clone(&queue));
+                    let (pool, failed) = (&pool, &failed);
+                    scope.spawn(move || sample_runs(worker, sampler, queue, pool, failed, trace))
+                })
+                .collect();
+            // From here on only the workers hold the receiver, so it closes
+            // when the last of them exits.
+            drop(queue);
 
-                // The dispatcher runs on this thread: one sequential,
-                // prefetched pass over the store, fanning each run out to
-                // its owning shard.  A send only fails if the worker died
-                // (which parks an error on the results channel), so errors
-                // are picked up below rather than here.
-                let dispatch_start = Instant::now();
-                let mut current = 0usize;
-                let dispatched = opaq_storage::for_each_run_prefetched_pooled(
-                    store,
-                    self.prefetch_depth,
-                    &pool,
-                    |run, data| {
-                        while current + 1 < shards && run >= starts[current + 1] {
-                            current += 1;
-                        }
-                        let _ = run_txs[current].send(data);
-                    },
-                );
-                drop(run_txs);
-                let dispatch = dispatch_start.elapsed();
+            let dispatch_start = Instant::now();
+            let mut read = Ok(());
+            for run in 0..runs {
+                let mut buf = pool.get();
+                if let Err(e) = store.read_run_into(run, &mut buf) {
+                    read = Err(OpaqError::from(e));
+                    break;
+                }
+                // Fails only once every worker has exited; their errors say why.
+                if run_tx.send((run, buf)).is_err() {
+                    break;
+                }
+            }
+            // Closing the queue lets the workers drain it and exit.
+            drop(run_tx);
+            let dispatch = dispatch_start.elapsed();
+            let outputs: Vec<WorkerOutput<K>> = handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect();
+            (read, dispatch, outputs)
+        });
+        read?;
 
-                let mut sketches: Vec<Option<QuantileSketch<K>>> =
-                    (0..shards).map(|_| None).collect();
-                let mut stats: Vec<Option<ShardStats>> = (0..shards).map(|_| None).collect();
-                let mut first_error: Option<OpaqError> = None;
-                for (shard, result) in result_rx {
-                    match result {
-                        Ok((sketch, stat)) => {
-                            sketches[shard] = sketch;
-                            stats[shard] = Some(stat);
-                        }
-                        Err(e) => {
-                            let _ = first_error.get_or_insert(e);
-                        }
-                    }
-                }
-                dispatched?;
-                if let Some(e) = first_error {
-                    return Err(e);
-                }
+        let mut shards = Vec::with_capacity(workers);
+        let mut samples = Vec::with_capacity(runs as usize);
+        for output in outputs {
+            let (stats, pairs) = output?;
+            shards.push(stats);
+            samples.extend(pairs);
+        }
+        samples.sort_unstable_by_key(|&(run, _)| run);
+        debug_assert_eq!(samples.len() as u64, runs, "every run was sampled once");
 
-                // Deterministic merge tree: adjacent pairs, ascending shard
-                // index, repeated until one sketch remains.  Any
-                // order-respecting tree yields the same sketch; pairing
-                // halves the depth compared to a left fold.
-                let merge_start = Instant::now();
-                let merge_span_start = trace.map(|(sink, _)| sink.now_nanos());
-                let mut level: Vec<QuantileSketch<K>> = sketches.into_iter().flatten().collect();
-                if level.is_empty() {
-                    return Err(OpaqError::EmptyDataset);
-                }
-                while level.len() > 1 {
-                    let mut next = Vec::with_capacity(level.len().div_ceil(2));
-                    let mut pairs = level.into_iter();
-                    while let Some(left) = pairs.next() {
-                        match pairs.next() {
-                            Some(right) => next.push(left.merge(&right)?),
-                            None => next.push(left),
-                        }
-                    }
-                    level = next;
-                }
-                let sketch = level.pop().expect("one sketch remains");
-                let merge = merge_start.elapsed();
-                if let (Some((sink, parent)), Some(start)) = (trace, merge_span_start) {
-                    sink.child(parent, Stage::Merge, SpanTag::Untagged, start);
-                }
-                let shard_stats = stats.into_iter().flatten().collect();
-                Ok((sketch, shard_stats, dispatch, merge))
-            })
-            .expect("sharded ingest scope does not panic");
-
-        let (sketch, shards, dispatch, merge) = scope_result?;
+        let merge_start = Instant::now();
+        let merge_span_start = trace.map(|(sink, _)| sink.now_nanos());
+        let sketch =
+            QuantileSketch::from_run_samples(samples.into_iter().map(|(_, rs)| rs).collect())?;
+        let merge = merge_start.elapsed();
+        if let (Some((sink, parent)), Some(start)) = (trace, merge_span_start) {
+            sink.child(parent, Stage::Merge, SpanTag::Untagged, start);
+        }
         let report = ShardedIngestReport {
             shards,
             io: io_delta(io_before, store.io_stats().snapshot()),
@@ -360,10 +289,71 @@ impl ShardedOpaq {
     }
 }
 
+/// One worker: take runs off the shared queue until it closes, sample each
+/// with `sampler` and hand the buffer back to the pool.  The first error
+/// raises `failed` and ends the worker.
+fn sample_runs<K: Key>(
+    worker: usize,
+    mut sampler: RunSampler,
+    queue: RunQueue<K>,
+    pool: &BufferPool<K>,
+    failed: &AtomicBool,
+    trace: Option<(&TraceSink, u32)>,
+) -> WorkerOutput<K> {
+    // One Ingest span per worker, spanning its whole lifetime (queue waits
+    // included).
+    let span = trace.map(|(sink, _)| (sink.allocate(), sink.now_nanos()));
+    let mut stats = ShardStats {
+        shard: worker,
+        ..ShardStats::default()
+    };
+    let mut samples = Vec::new();
+    let sampled = loop {
+        let wait_start = Instant::now();
+        let next = queue.lock().recv();
+        stats.starved += wait_start.elapsed();
+        // A closed queue means every run has been handed out.
+        let Ok((run, mut buf)) = next else {
+            break Ok(());
+        };
+        if failed.load(Ordering::Relaxed) {
+            pool.put(buf);
+            break Ok(());
+        }
+        let work_start = Instant::now();
+        let sample = sampler.sample(&mut buf);
+        pool.put(buf);
+        stats.busy += work_start.elapsed();
+        match sample {
+            Ok(sample) => {
+                stats.runs += 1;
+                stats.elements += sample.run_len;
+                stats.sample_points += sample.values.len();
+                samples.push((run, sample));
+            }
+            Err(e) => {
+                failed.store(true, Ordering::Relaxed);
+                break Err(e);
+            }
+        }
+    };
+    if let (Some((sink, parent)), Some((id, start))) = (trace, span) {
+        let tag = if sampled.is_ok() {
+            SpanTag::Untagged
+        } else {
+            SpanTag::Error
+        };
+        sink.complete(id, parent, Stage::Ingest, tag, start);
+    }
+    sampled.map(|()| (stats, samples))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opaq_storage::{FileRunStoreBuilder, MemRunStore};
+    use opaq_core::IncrementalOpaq;
+    use opaq_storage::{FileRunStoreBuilder, IoStats, MemRunStore, RunLayout, StorageError};
+    use std::sync::mpsc;
 
     fn config(m: u64, s: u64) -> OpaqConfig {
         OpaqConfig::builder()
@@ -468,8 +458,8 @@ mod tests {
 
     #[test]
     fn run_buffers_recycle_across_the_ingest() {
-        // 40 runs over 4 shards with depth 2: at most
-        // shards·(depth+1) + depth + 2 = 16 buffers can be in flight before
+        // 40 runs over 4 workers with depth 2: at most
+        // workers + depth + 1 = 7 buffers can be in flight before
         // recycling kicks in, so most of the 40 reads must be reuses.
         let data: Vec<u64> = (0..40_000).map(|i| (i * 48271) % 9973).collect();
         let store = MemRunStore::new(data, 1000);
@@ -480,7 +470,7 @@ mod tests {
             .unwrap();
         assert_eq!(report.io.buffer_allocs + report.io.buffer_reuses, 40);
         assert!(
-            report.io.buffer_allocs <= 16,
+            report.io.buffer_allocs <= 7,
             "allocs: {}",
             report.io.buffer_allocs
         );
@@ -536,6 +526,78 @@ mod tests {
                 .build_sketch(&store)
                 .unwrap();
             assert_eq!(sketch, reference, "depth {depth}");
+        }
+    }
+
+    /// How a [`FaultyStore`] spoils its chosen run.
+    #[derive(Debug, Clone, Copy)]
+    enum Fault {
+        /// The read of the run fails with a storage error.
+        ReadError,
+        /// The read succeeds but yields no keys, so sampling fails.
+        EmptyRun,
+    }
+
+    /// A [`MemRunStore`] whose run `bad` is spoilt by `fault`.
+    struct FaultyStore {
+        inner: MemRunStore<u64>,
+        bad: u64,
+        fault: Fault,
+    }
+
+    impl RunStore<u64> for FaultyStore {
+        fn layout(&self) -> RunLayout {
+            self.inner.layout()
+        }
+
+        fn read_run(&self, run: u64) -> opaq_storage::StorageResult<Vec<u64>> {
+            match (run == self.bad, self.fault) {
+                (true, Fault::ReadError) => Err(StorageError::Corrupt(format!("run {run}"))),
+                (true, Fault::EmptyRun) => Ok(Vec::new()),
+                (false, _) => self.inner.read_run(run),
+            }
+        }
+
+        fn io_stats(&self) -> &IoStats {
+            self.inner.io_stats()
+        }
+    }
+
+    #[test]
+    fn a_failing_run_errors_instead_of_hanging() {
+        let data: Vec<u64> = (0..24_000).map(|i| (i * 48271) % 7919).collect();
+        let cfg = config(1000, 50);
+        for fault in [Fault::ReadError, Fault::EmptyRun] {
+            for threads in 1..=4 {
+                for bad in [0, 1, 11, 23] {
+                    let store = FaultyStore {
+                        inner: MemRunStore::new(data.clone(), 1000),
+                        bad,
+                        fault,
+                    };
+                    let sharded = ShardedOpaq::new(cfg, threads)
+                        .unwrap()
+                        .with_prefetch_depth(1);
+                    // Watchdog: a hung ingest fails the test instead of the
+                    // whole suite.
+                    let (tx, rx) = mpsc::channel();
+                    std::thread::spawn(move || {
+                        let _ = tx.send(sharded.build_sketch(&store));
+                    });
+                    let result = rx
+                        .recv_timeout(Duration::from_secs(20))
+                        .unwrap_or_else(|_| {
+                            panic!("{fault:?} at run {bad} with {threads} threads hung")
+                        });
+                    match (fault, result) {
+                        (Fault::ReadError, Err(OpaqError::Storage(_)))
+                        | (Fault::EmptyRun, Err(OpaqError::EmptyDataset)) => {}
+                        (fault, other) => {
+                            panic!("{fault:?} at run {bad} with {threads} threads: {other:?}")
+                        }
+                    }
+                }
+            }
         }
     }
 }

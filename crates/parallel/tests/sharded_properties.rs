@@ -1,34 +1,31 @@
 //! Property-based pin of the sharded-ingestion invariant: for any input,
 //! any run length, and any thread count in `1..=8`, [`ShardedOpaq`] must
-//! produce a sketch **identical** to the sequential [`IncrementalOpaq`]
-//! fold over the same store — same samples, same gaps, same bounds, same
-//! metadata — regardless of worker completion order.
+//! produce a sketch **identical** to the sequential
+//! [`OpaqEstimator::build_sketch`] (the reference the benchmark gates on)
+//! and to the [`IncrementalOpaq`] fold over the same store — same samples,
+//! same gaps, same bounds, same metadata — regardless of worker completion
+//! order.
 
-use opaq_core::{IncrementalOpaq, OpaqConfig, QuantileSketch};
+use opaq_core::{IncrementalOpaq, OpaqConfig, OpaqEstimator};
 use opaq_parallel::ShardedOpaq;
 use opaq_storage::{MemRunStore, RunStore};
 use proptest::prelude::*;
 
-fn sequential_sketch(data: Vec<u64>, m: u64, s: u64) -> QuantileSketch<u64> {
-    let store = MemRunStore::new(data, m);
-    let config = OpaqConfig::builder()
+fn config_for(store: &MemRunStore<u64>, s: u64) -> OpaqConfig {
+    OpaqConfig::builder()
         .run_length(store.layout().m())
         .sample_size(s.min(store.layout().m()))
         .build()
-        .unwrap();
-    let mut inc = IncrementalOpaq::new(config).unwrap();
-    inc.add_store(&store).unwrap();
-    inc.into_sketch().unwrap()
+        .unwrap()
 }
 
 fn assert_sharded_identical(data: Vec<u64>, m: u64, s: u64) -> Result<(), TestCaseError> {
-    let reference = sequential_sketch(data.clone(), m, s);
     let store = MemRunStore::new(data, m);
-    let config = OpaqConfig::builder()
-        .run_length(store.layout().m())
-        .sample_size(s.min(store.layout().m()))
-        .build()
-        .unwrap();
+    let config = config_for(&store, s);
+    let reference = OpaqEstimator::new(config).build_sketch(&store).unwrap();
+    let mut inc = IncrementalOpaq::new(config).unwrap();
+    inc.add_store(&store).unwrap();
+    prop_assert_eq!(&inc.into_sketch().unwrap(), &reference);
     for threads in 1..=8usize {
         let sharded = ShardedOpaq::new(config, threads)
             .unwrap()
@@ -84,5 +81,46 @@ proptest! {
         let data: Vec<u64> = (0..len as u64).rev().collect();
         let m = m_seed.min(data.len() as u64);
         assert_sharded_identical(data, m, s)?;
+    }
+}
+
+/// Runs whose sampling cost differs: every fourth run is 20k scrambled
+/// keys, which take about twice as long to sample as the constant runs
+/// around it.  A worker holding a scrambled run is overtaken by the others,
+/// so runs finish out of order.  Every constant run holds the same key, and
+/// the half-length tail run's samples carry smaller gaps than the rest, so
+/// the sketch changes if equal samples are not merged in run order.
+fn uneven_cost_data(runs: u64, m: u64, seed: u64) -> Vec<u64> {
+    (0..runs * m - m / 2)
+        .map(|i| {
+            if (i / m) % 4 == seed % 4 {
+                (i ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40
+            } else {
+                42
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn sharded_equals_sequential_when_workers_finish_out_of_order() {
+    let m = 20_000;
+    for seed in 0..4 {
+        let store = MemRunStore::new(uneven_cost_data(12, m, seed), m);
+        let config = config_for(&store, 200);
+        let reference = OpaqEstimator::new(config).build_sketch(&store).unwrap();
+        for threads in [2usize, 3, 4] {
+            for depth in [1usize, 4] {
+                let sharded = ShardedOpaq::new(config, threads)
+                    .unwrap()
+                    .with_prefetch_depth(depth)
+                    .build_sketch(&store)
+                    .unwrap();
+                assert_eq!(
+                    sharded, reference,
+                    "seed {seed} threads {threads} depth {depth}"
+                );
+            }
+        }
     }
 }

@@ -93,10 +93,10 @@ struct ResolvedSource {
     provenance: Provenance,
 }
 
-/// Fuse sketches with the same balanced pairwise tree `ShardedOpaq` uses
-/// for shard results: adjacent pairs per round, ascending order, odd one
-/// carries over.  Deterministic — the same input order always produces the
-/// same fused sketch, which is what makes plan answers byte-replayable.
+/// Fuse sketches with a balanced pairwise tree: adjacent pairs per round,
+/// ascending order, odd one carries over.  Deterministic — the same input
+/// order always produces the same fused sketch, which is what makes plan
+/// answers byte-replayable.
 ///
 /// # Errors
 /// [`OpaqError::EmptyDataset`] for an empty slice; merge errors (e.g.

@@ -13,9 +13,9 @@
 //!   Blum, Floyd, Pratt, Rivest and Tarjan (cited as `[ea72]` in the paper).
 //! * [`floyd_rivest`] — the expected `O(n)` randomized SELECT algorithm of
 //!   Floyd and Rivest (cited as `[FR75]`).
-//! * [`quickselect`] — a pragmatic randomized quickselect used as the default
+//! * [`quickselect`](mod@quickselect) — a pragmatic randomized quickselect used as the default
 //!   strategy (small constants, in-place).
-//! * [`multiselect`] — simultaneous selection of many order statistics by
+//! * [`multiselect`](mod@multiselect) — simultaneous selection of many order statistics by
 //!   recursive partitioning, the workhorse of the sample phase.
 //! * [`partition`] — three-way partitioning primitives shared by the
 //!   algorithms above, duplicate-robust by construction: the scalar Dutch

@@ -27,8 +27,8 @@
 //!   ([`prefetch::for_each_run_prefetched`], also available as
 //!   [`run_store::RunStore::for_each_run_prefetched`]): a background reader
 //!   thread keeps up to `depth` runs buffered so I/O overlaps the consumer's
-//!   sampling work.  This is the I/O front end of the sharded ingestion path
-//!   in `opaq-parallel`.
+//!   sampling work.  Its [`prefetch::BufferPool`] also recycles the run
+//!   buffers of the sharded ingestion path in `opaq-parallel`.
 //!
 //! The stores are deliberately *pull*-oriented (`read_run(i) -> Vec<K>`,
 //! with the allocation-free twin `read_run_into(i, &mut Vec<K>)` recycling a

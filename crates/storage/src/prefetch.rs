@@ -11,9 +11,10 @@
 //! being processed by the consumer), preserving the paper's `r·s + m ≤ M`
 //! memory discipline up to the small constant.
 //!
-//! The prefetcher is the I/O front end of `opaq-parallel`'s `ShardedOpaq`
-//! dispatcher: one thread reads runs in order and fans them out to the
-//! sampling workers while the next run is already on its way from disk.
+//! `opaq-parallel`'s `ShardedOpaq` does not go through this module: its
+//! calling thread reads runs into a shared [`BufferPool`] and feeds its
+//! workers' queue directly, so no extra forwarding thread sits between the
+//! store and the samplers.
 //!
 //! ## Buffer recycling
 //!

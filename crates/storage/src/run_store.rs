@@ -123,7 +123,7 @@ pub trait RunStore<K>: Send + Sync {
     ///
     /// This is the allocation-free twin of [`RunStore::read_run`]: callers
     /// that process one run at a time (the sample phase, the sharded
-    /// dispatcher) keep recycling the same buffer, so after the first run no
+    /// ingester's reader) keep recycling the same buffer, so after the first run no
     /// allocation happens on the read path.  The default implementation
     /// falls back to [`RunStore::read_run`] and replaces `buf` wholesale;
     /// [`crate::FileRunStore`] and [`crate::MemRunStore`] override it to
